@@ -12,6 +12,7 @@ from iongrover import (
     OracleSpec,
     SpamModel,
     apply_spam,
+    channel_distributions,
     classical_asp,
     correct_spam,
     confusion_matrix,
@@ -30,12 +31,21 @@ from iongrover.metrics import asp, permutation_of
 np.set_printoptions(precision=4, suppress=True)
 
 # After each coupling, with probability p_xx, a random two-qubit Pauli
-# hits the pair. The fitted rate reproduces a truth-table fidelity of
-# about 0.896 for the five-coupling doubly-controlled NOT.
+# hits the pair. On average that is a depolarizing channel, so the
+# noisy truth table is computed exactly from density matrices. The
+# fitted rate reproduces a truth-table fidelity of about 0.896 for the
+# five-coupling doubly-controlled NOT.
 noise = NoiseModel(p_xx=FITTED_P_XX)
-table = noisy_truth_table(toffoli3_template(0, 1, 2), (0, 1, 2), noise, 20000, seed=1)
+toffoli = toffoli3_template(0, 1, 2)
+table = noisy_truth_table(toffoli, (0, 1, 2), noise, trajectories=1, seed=0)
 fid = truth_table_fidelity(table, permutation_of(toffoli3_unitary()))
 print(f"toffoli3 at p_xx={FITTED_P_XX}: truth-table fidelity {fid:.4f}")
+
+# The Monte Carlo sampler of the same model scatters around that value.
+for trajectories in (500, 5000):
+    p = run_noisy(toffoli, noise, trajectories, seed=1)[0b000]
+    print(f"  P(000 -> 000) sampled from {trajectories} trajectories: {p:.4f}"
+          f" (exact {table[0, 0]:.4f})")
 
 # The same noise degrades search. Phase oracles are cheaper than
 # boolean ones, so they keep more of their advantage; both beat the
@@ -44,9 +54,9 @@ for t in (1, 2):
     row = [f"t={t}"]
     for style in ("phase", "boolean"):
         vals = []
-        for idx, marked in enumerate(enumerate_oracles(3, t)):
+        for marked in enumerate_oracles(3, t):
             circ = grover_circuit(GroverConfig(OracleSpec(3, marked, style)))
-            dist = marginal(run_noisy(circ, noise, 2000, 100 + idx),
+            dist = marginal(channel_distributions(circ, noise, [0])[0],
                             circ.n_qubits, (0, 1, 2))
             vals.append(asp(dist, marked))
         row.append(f"{style} {np.mean(vals):.3f}")

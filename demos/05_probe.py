@@ -40,6 +40,6 @@ show("ideal gate (exact anti-diagonal)", limited_tomography(ideal))
 stray = concat(ideal, cz_template(0, 1))
 show("with a stray CZ on the controls", limited_tomography(stray))
 
-noisy = limited_tomography(ideal, NoiseModel(p_xx=FITTED_P_XX),
-                           trajectories=20000, seed=2)
+# Exact under the random-Pauli channel: no trajectories to choose.
+noisy = limited_tomography(ideal, NoiseModel(p_xx=FITTED_P_XX))
 show(f"with stochastic noise p_xx={FITTED_P_XX}", noisy)

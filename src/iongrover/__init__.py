@@ -68,6 +68,7 @@ from .noise import (
     NoiseModel,
     SpamModel,
     apply_spam,
+    channel_distributions,
     confusion_matrix,
     correct_spam,
     load_noise_config,

@@ -2,14 +2,16 @@
 
 Four subcommands: ``gate-table`` characterizes the compiled gate
 templates, ``grover`` runs search instances (optionally every oracle of
-a given size, in parallel), ``tomography`` runs the fixed-basis probe
+a given size), ``tomography`` runs the fixed-basis probe
 on the doubly-controlled NOT with and without an injected error, and
 ``costs`` tabulates predicted resources for wider controlled gates.
 
 Every command writes ``results.json`` ({meta, rows}, schema in
 ``schemas/results.schema.json``) into --out; ``--format csv`` adds flat
-CSV exports. Outputs are byte-identical for identical arguments and
-seed: nothing is written until a command has fully succeeded.
+CSV exports. Noisy figures are exact (density-matrix channel), so the
+seed only affects sampled ``--shots`` counts and trajectory counts change
+nothing. Outputs are byte-identical for identical arguments and seed:
+nothing is written until a command has fully succeeded.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .decompositions import GATE_TEMPLATES, cz_template, toffoli_n_cost
-from .gates import concat, xx_count
+from .gates import concat, run, xx_count
 from .grover import (
     GroverConfig,
     OracleSpec,
@@ -48,11 +49,11 @@ from .noise import (
     NoiseModel,
     SpamModel,
     apply_spam,
+    channel_distributions,
     load_noise_config,
     noisy_truth_table,
-    run_noisy,
 )
-from .statevector import all_labels, marginal
+from .statevector import all_labels, marginal, probabilities
 from .tomography import limited_tomography, tomography_success
 
 _NO_NOISE = NoiseConfig(NoiseModel(), SpamModel())
@@ -88,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="fixed-basis probe of the 3-qubit gate")
     p.add_argument("--trajectories", type=int, default=None,
-                   help="overrides the config trajectory count")
+                   help="accepted for old scripts; results are exact and do not "
+                        "depend on it")
     common(p)
 
     p = sub.add_parser("costs", help="predicted resources for wider controlled gates")
@@ -105,6 +107,8 @@ def _load_configs(args) -> NoiseConfig:
         spam_cfg = load_noise_config(args.spam)
         cfg = NoiseConfig(cfg.noise, spam_cfg.spam, cfg.trajectories, cfg.seed)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
         cfg = NoiseConfig(cfg.noise, cfg.spam, cfg.trajectories, args.seed)
     return cfg
 
@@ -175,26 +179,20 @@ def _one_grover(job):
     n = spec.n_qubits
     data = tuple(range(n))
     if cfg.noise.trivial:
-        from .gates import run
-        from .statevector import probabilities
-
-        dist = marginal(probabilities(run(circuit)), circuit.n_qubits, data)
+        dist = probabilities(run(circuit))
     else:
-        dist = marginal(
-            run_noisy(circuit, cfg.noise, cfg.trajectories, job_seed),
-            circuit.n_qubits,
-            data,
-        )
+        dist = channel_distributions(circuit, cfg.noise, [0])[0]
+    dist = marginal(dist, circuit.n_qubits, data)
     if not cfg.spam.trivial:
         dist = apply_spam(dist, cfg.spam)
-    expected = expected_grover_distribution(n, spec.marked)
+    expected = expected_grover_distribution(n, spec.marked, iterations)
     row = {
         "marked": "+".join(spec.marked),
         "style": spec.style,
         "n_qubits": n,
         "xx_count": xx_count(circuit),
         "asp": asp(dist, spec.marked),
-        "asp_ideal": theoretical_asp(2**n, len(spec.marked)),
+        "asp_ideal": theoretical_asp(2**n, len(spec.marked), iterations),
         "asp_classical": classical_asp(2**n, len(spec.marked)),
         "sso": sso(expected, dist),
         "distribution": [float(p) for p in dist],
@@ -220,11 +218,7 @@ def cmd_grover(args) -> dict[str, str]:
         spec = OracleSpec(args.n, marked, args.style)
         job_seed = cfg.seed * 100003 + idx
         jobs.append((spec, args.iterations, cfg, args.shots, job_seed))
-    if len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            rows = list(pool.map(_one_grover, jobs))
-    else:
-        rows = [_one_grover(jobs[0])]
+    rows = [_one_grover(job) for job in jobs]
     files = {"results.json": _results_json("grover", cfg, rows)}
     if args.format == "csv":
         header = ["marked", "style", "n_qubits", "xx_count", "asp", "asp_ideal",
@@ -243,6 +237,8 @@ def cmd_grover(args) -> dict[str, str]:
 
 def cmd_tomography(args) -> dict[str, str]:
     cfg = _load_configs(args)
+    if args.trajectories is not None and args.trajectories < 1:
+        raise ValueError(f"trajectories must be a positive integer, got {args.trajectories}")
     trajectories = args.trajectories or cfg.trajectories
     ideal = GATE_TEMPLATES["toffoli3"].build(None)
     variants = {

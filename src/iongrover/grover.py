@@ -332,17 +332,16 @@ def run_grover(config: GroverConfig, sgn_map: SgnMap | None = None) -> GroverRes
     return GroverResult(dist, xx_count(circuit), circuit.n_qubits, circuit)
 
 
-def theoretical_asp(space_size: int, n_marked: int) -> float:
-    """Total probability of the marked set after one ideal iteration.
-
-    Each marked amplitude grows from 1/sqrt(N) by the factor
-    (N - 2t)/N + 2(N - t)/N.
-    """
+def theoretical_asp(space_size: int, n_marked: int, iterations: int = 1) -> float:
+    """Total probability of the marked set after ``iterations`` ideal rounds:
+    sin^2((2k + 1) theta) with sin theta = sqrt(t / N)."""
     N, t = space_size, n_marked
     if N < 1 or not 1 <= t <= N:
         raise ValueError(f"need 1 <= n_marked <= space_size, got t={t}, N={N}")
-    amp = ((N - 2 * t) / N + 2 * (N - t) / N) / math.sqrt(N)
-    return t * amp**2
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    theta = math.asin(math.sqrt(t / N))
+    return math.sin((2 * iterations + 1) * theta) ** 2
 
 
 def classical_asp(space_size: int, n_marked: int) -> float:

@@ -9,7 +9,14 @@ import numpy as np
 
 from .gates import Circuit, run
 from .grover import theoretical_asp
-from .statevector import all_labels, bits_to_index, init_basis, marginal, probabilities
+from .statevector import (
+    all_labels,
+    basis_inputs,
+    bits_to_index,
+    init_basis,
+    marginal,
+    probabilities,
+)
 
 
 def _infer_n(distribution: np.ndarray) -> int:
@@ -46,14 +53,16 @@ def sso(expected: np.ndarray, measured: np.ndarray) -> float:
     return float(np.sum(np.sqrt(np.clip(e, 0, None) * np.clip(m, 0, None))) ** 2)
 
 
-def expected_grover_distribution(n_qubits: int, marked: tuple[str, ...]) -> np.ndarray:
-    """Ideal single-iteration outcome distribution for a marked set."""
+def expected_grover_distribution(
+    n_qubits: int, marked: tuple[str, ...], iterations: int = 1
+) -> np.ndarray:
+    """Ideal outcome distribution for a marked set after ``iterations`` rounds."""
     size = 2**n_qubits
     t = len(marked)
     marked_idx = sorted(bits_to_index(label) for label in marked)
     if len(set(marked_idx)) != t or not 1 <= t <= size:
         raise ValueError(f"bad marked set {marked}")
-    total = theoretical_asp(size, t)
+    total = theoretical_asp(size, t, iterations)
     dist = np.empty(size, dtype=np.float64)
     dist.fill((1.0 - total) / (size - t) if size > t else 0.0)
     for k in marked_idx:
@@ -68,17 +77,12 @@ def truth_table(circuit: Circuit, io_qubits: tuple[int, ...]) -> np.ndarray:
     are prepared in basis state k and every other wire starts (and is
     discarded) in |0>.
     """
-    k = len(io_qubits)
-    if len(set(io_qubits)) != k or not k:
-        raise ValueError(f"bad io_qubits {io_qubits}")
-    table = np.zeros((2**k, 2**k), dtype=np.float64)
-    for inp in range(2**k):
-        bits = format(inp, f"0{k}b")
-        full = ["0"] * circuit.n_qubits
-        for pos, q in enumerate(io_qubits):
-            full[q] = bits[pos]
-        state = run(circuit, init_basis(circuit.n_qubits, "".join(full)))
-        table[inp] = marginal(probabilities(state), circuit.n_qubits, io_qubits)
+    n = circuit.n_qubits
+    inputs = basis_inputs(n, io_qubits)
+    table = np.zeros((len(inputs), len(inputs)), dtype=np.float64)
+    for row, index in enumerate(inputs):
+        state = run(circuit, init_basis(n, index))
+        table[row] = marginal(probabilities(state), n, io_qubits)
     return table
 
 

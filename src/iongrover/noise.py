@@ -1,11 +1,17 @@
 """Stochastic Pauli gate noise and state-preparation/measurement errors.
 
-Gate noise is modeled by Monte Carlo trajectories: after each coupling
-(and optionally each rotation) a uniformly random non-identity Pauli
-hits the gate's qubits with a fixed probability. Trajectories are
-simulated as one batched state array, so the cost is a handful of
-matrix contractions per gate regardless of the trajectory count, and
-the result is deterministic for a fixed seed.
+Gate noise: after each coupling (and optionally each rotation) a
+uniformly random non-identity Pauli hits the gate's qubits with a fixed
+probability p. Averaged over the random choice this is exactly the
+depolarizing channel rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k on the
+k gate qubits Q, with lam = 4^k p / (4^k - 1) (Nielsen & Chuang 8.3).
+:func:`channel_distributions` evolves density matrices through that
+channel and so gives exact noisy distributions; every noisy figure the
+package reports (truth tables, the probe, the CLI) comes from it, and
+trajectory counts and seeds no longer change those figures.
+:func:`run_noisy` is the Monte Carlo sampler of the same model, kept as
+an independent statistical check: it averages trajectories simulated as
+one batched state array and is deterministic for a fixed seed.
 
 Readout errors are per-qubit asymmetric bit flips, optionally with
 crosstalk: a dark qubit's chance of reading bright grows with each
@@ -16,13 +22,15 @@ an observed distribution.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import Circuit, RotationGate, XXGate
-from .statevector import StateVector, init_basis, marginal
+from .statevector import StateVector, basis_inputs, init_basis, marginal
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -81,7 +89,11 @@ class SpamModel:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Bundle of gate noise, SPAM, and sampling controls, as read from disk."""
+    """Bundle of gate noise, SPAM, and sampling controls, as read from disk.
+
+    ``trajectories`` only sizes :func:`run_noisy`; the package's own noisy
+    figures are exact and ignore it.
+    """
 
     noise: NoiseModel
     spam: SpamModel
@@ -92,8 +104,23 @@ class NoiseConfig:
 _CONFIG_KEYS = {"p_xx", "p_r", "eps0", "eps1", "crosstalk", "trajectories", "seed"}
 
 
+def _number(data: dict, name: str) -> float:
+    value = data.get(name, 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(data: dict, name: str, default: int, least: int, what: str) -> int:
+    value = data.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be a {what} integer, got {value!r}")
+    return value
+
+
 def load_noise_config(path: str) -> NoiseConfig:
-    """Read a JSON noise configuration; unknown keys are rejected."""
+    """Read a JSON noise configuration; unknown keys and ill-typed values
+    are rejected."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -101,18 +128,13 @@ def load_noise_config(path: str) -> NoiseConfig:
     extra = set(data) - _CONFIG_KEYS
     if extra:
         raise ValueError(f"unknown noise config keys: {sorted(extra)}")
-    trajectories = int(data.get("trajectories", 2000))
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
     return NoiseConfig(
-        noise=NoiseModel(float(data.get("p_xx", 0.0)), float(data.get("p_r", 0.0))),
+        noise=NoiseModel(_number(data, "p_xx"), _number(data, "p_r")),
         spam=SpamModel(
-            float(data.get("eps0", 0.0)),
-            float(data.get("eps1", 0.0)),
-            float(data.get("crosstalk", 0.0)),
+            _number(data, "eps0"), _number(data, "eps1"), _number(data, "crosstalk")
         ),
-        trajectories=trajectories,
-        seed=int(data.get("seed", 0)),
+        trajectories=_count(data, "trajectories", 2000, 1, "positive"),
+        seed=_count(data, "seed", 0, 0, "non-negative"),
     )
 
 
@@ -176,6 +198,57 @@ def run_noisy(
     return np.mean(np.abs(amps) ** 2, axis=0)
 
 
+def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], lam: float) -> np.ndarray:
+    """rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k on qubits Q, for a
+    batch of density matrices stored as 2n-qubit states (rows first)."""
+    k = len(qubits)
+    t = np.ascontiguousarray(rho).reshape((rho.shape[0],) + (2,) * (2 * n))
+    # View with the row and column axes of Q last; writes land in t.
+    v = np.moveaxis(t, [q + 1 for q in qubits] + [q + 1 + n for q in qubits],
+                    range(-2 * k, 0))
+    diagonal = [(Ellipsis,) + d + d for d in itertools.product((0, 1), repeat=k)]
+    mixed = sum(v[d] for d in diagonal) * (lam / 2**k)
+    v *= 1.0 - lam
+    for d in diagonal:
+        v[d] += mixed
+    return t.reshape(rho.shape)
+
+
+def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.ndarray:
+    """Exact outcome distributions under the gate noise, one row per input.
+
+    ``inputs`` are basis-state indices. Each starts a density matrix,
+    evolved as a 2n-qubit state: a gate U on qubits Q acts as U on Q and
+    conj(U) on Q + n. After each coupling (rotation) with p_xx (p_r) > 0
+    the depolarizing channel of the random-Pauli model acts on its
+    qubits. Returns an array of shape ``(len(inputs), 2**n)``; at zero
+    noise each row equals the pure-state distribution.
+    """
+    n = circuit.n_qubits
+    dim = 2**n
+    inputs = [operator.index(i) for i in inputs]
+    if not inputs:
+        raise ValueError("need at least one input")
+    for i in inputs:
+        if not 0 <= i < dim:
+            raise ValueError(f"input {i} out of range for {n} qubits")
+    rho = np.zeros((len(inputs), dim * dim), dtype=np.complex128)
+    rho[np.arange(len(inputs)), np.array(inputs) * (dim + 1)] = 1.0
+    lam_r, lam_xx = 4 * noise.p_r / 3, 16 * noise.p_xx / 15
+    for g in circuit.gates:
+        if isinstance(g, RotationGate):
+            qubits, lam = (g.qubit,), lam_r
+        else:
+            qubits, lam = (g.qa, g.qb), lam_xx
+        u = g.matrix()
+        rho = _apply_batch(rho, 2 * n, qubits, u)
+        rho = _apply_batch(rho, 2 * n, tuple(q + n for q in qubits), u.conj())
+        if lam > 0.0:
+            rho = _depolarize(rho, n, qubits, lam)
+    diag = rho.reshape(-1, dim, dim).diagonal(axis1=1, axis2=2).real
+    return np.clip(diag, 0.0, None)
+
+
 def noisy_truth_table(
     circuit: Circuit,
     io_qubits: tuple[int, ...],
@@ -183,18 +256,15 @@ def noisy_truth_table(
     trajectories: int,
     seed: int,
 ) -> np.ndarray:
-    """Monte Carlo analog of :func:`iongrover.metrics.truth_table`."""
-    k = len(io_qubits)
-    table = np.zeros((2**k, 2**k), dtype=np.float64)
-    for inp in range(2**k):
-        bits = format(inp, f"0{k}b")
-        full = ["0"] * circuit.n_qubits
-        for pos, q in enumerate(io_qubits):
-            full[q] = bits[pos]
-        initial = init_basis(circuit.n_qubits, "".join(full))
-        dist = run_noisy(circuit, noise, trajectories, seed + inp, initial)
-        table[inp] = marginal(dist, circuit.n_qubits, io_qubits)
-    return table
+    """Noisy analog of :func:`iongrover.metrics.truth_table`, computed
+    exactly by :func:`channel_distributions` in one batch of all inputs.
+
+    ``trajectories`` and ``seed`` are accepted for compatibility and no
+    longer change the result.
+    """
+    n = circuit.n_qubits
+    dists = channel_distributions(circuit, noise, basis_inputs(n, io_qubits))
+    return np.stack([marginal(d, n, io_qubits) for d in dists])
 
 
 def _column(spam: SpamModel, true_bits: str) -> np.ndarray:

@@ -80,6 +80,24 @@ def init_basis(n_qubits: int, label: str | int = 0) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
+def basis_inputs(n_qubits: int, io_qubits: tuple[int, ...]) -> list[int]:
+    """Basis indices of every classical input on ``io_qubits``.
+
+    Entry x carries the k-bit input x, its leftmost bit on
+    ``io_qubits[0]``, with every other qubit in 0.
+    """
+    k = len(io_qubits)
+    if not k or len(set(io_qubits)) != k:
+        raise ValueError(f"bad io_qubits {io_qubits}")
+    for q in io_qubits:
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
+    return [
+        sum(1 << (n_qubits - 1 - q) for pos, q in enumerate(io_qubits) if x >> (k - 1 - pos) & 1)
+        for x in range(2**k)
+    ]
+
+
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (dim, dim):

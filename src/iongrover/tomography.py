@@ -16,7 +16,7 @@ import numpy as np
 
 from .decompositions import PI, _ry
 from .gates import Circuit, concat, run
-from .noise import NoiseModel, run_noisy
+from .noise import NoiseModel, channel_distributions
 from .statevector import init_basis, probabilities
 
 PLUS_ROTATION_INPUTS = ("000", "010", "100", "110")
@@ -39,20 +39,29 @@ def limited_tomography(
     trajectories: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Probe table: rows are basis inputs, columns outcome probabilities."""
+    """Probe table: rows are basis inputs, columns outcome probabilities.
+
+    Under gate noise the rows are exact: one batch through
+    :func:`iongrover.noise.channel_distributions` per probe-rotation
+    sign, holding its four inputs. ``trajectories`` and ``seed`` are
+    accepted for compatibility and no longer change the result.
+    """
     if circuit.n_qubits != 3:
         raise ValueError(
             f"the probe sequence is defined for 3 qubits, got {circuit.n_qubits}"
         )
     table = np.zeros((8, 8), dtype=np.float64)
-    for k in range(8):
-        label = format(k, "03b")
-        full = probed_circuit(circuit, label)
-        if noise is None or noise.trivial:
-            state = run(full, init_basis(3, label))
+    if noise is None or noise.trivial:
+        for k in range(8):
+            label = format(k, "03b")
+            state = run(probed_circuit(circuit, label), init_basis(3, label))
             table[k] = probabilities(state)
-        else:
-            table[k] = run_noisy(full, noise, trajectories, seed + k, init_basis(3, label))
+        return table
+    plus = [int(label, 2) for label in PLUS_ROTATION_INPUTS]
+    minus = [k for k in range(8) if k not in plus]
+    for inputs in (plus, minus):
+        full = probed_circuit(circuit, format(inputs[0], "03b"))
+        table[inputs] = channel_distributions(full, noise, inputs)
     return table
 
 

@@ -172,3 +172,62 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "results.json").exists()
+
+
+def test_grover_several_iterations_reports_matching_ideal(tmp_path):
+    out = tmp_path / "o"
+    code = main(
+        ["grover", "--style", "boolean", "--marked", "110", "--iterations", "3",
+         "--out", str(out)]
+    )
+    assert code == 0
+    row = read_results(out)["rows"][0]
+    assert row["asp"] == pytest.approx(0.330078125, abs=1e-9)
+    assert row["asp_ideal"] == pytest.approx(0.330078125, abs=1e-12)
+    assert row["sso"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"p_xx": None}, "p_xx must be a number"),
+        ({"p_xx": True}, "p_xx must be a number"),
+        ({"eps0": "0.01"}, "eps0 must be a number"),
+        ({"trajectories": 1.7}, "trajectories must be a positive integer"),
+        ({"trajectories": 0}, "trajectories must be a positive integer"),
+        ({"seed": False}, "seed must be a non-negative integer"),
+    ],
+)
+def test_grover_rejects_bad_noise_config_values(tmp_path, capsys, config, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    code = main(
+        ["grover", "--style", "phase", "--marked", "011",
+         "--noise", str(bad), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["costs", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative")
+    assert not out.exists()
+
+
+def test_tomography_trajectories_flag_is_accepted_but_inert(tmp_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p_xx": 0.02, "trajectories": 300, "seed": 3}))
+    outs = []
+    for name, extra in (("a", []), ("b", ["--trajectories", "7", "--seed", "8"])):
+        out = tmp_path / name
+        assert main(["tomography", "--noise", str(noise), "--out", str(out)] + extra) == 0
+        outs.append(read_results(out)["rows"])
+    assert outs[0] == outs[1]
+    assert main(["tomography", "--trajectories", "0", "--out", str(tmp_path / "c")]) == 1
+    assert "trajectories must be a positive integer" in capsys.readouterr().err

@@ -214,3 +214,20 @@ def test_styles_agree_on_random_marked_sets(data):
     rp = run_grover(GroverConfig(OracleSpec(n, marked, "phase")))
     rb = run_grover(GroverConfig(OracleSpec(n, marked, "boolean")))
     assert np.max(np.abs(rp.distribution - rb.distribution)) < 1e-9
+
+
+def test_theoretical_asp_after_several_iterations():
+    # sin^2((2k+1) theta) with sin theta = sqrt(t/N).
+    assert theoretical_asp(8, 1, 3) == pytest.approx(0.330078125, abs=1e-12)
+    assert theoretical_asp(8, 1, 2) == pytest.approx(0.9453125, abs=1e-12)
+    assert theoretical_asp(8, 1, 0) == pytest.approx(1 / 8, abs=1e-12)
+    with pytest.raises(ValueError):
+        theoretical_asp(8, 1, -1)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_theoretical_asp_matches_simulation(iterations):
+    spec = OracleSpec(3, ("101",), "phase")
+    res = run_grover(GroverConfig(spec, iterations=iterations))
+    want = theoretical_asp(8, 1, iterations)
+    assert res.distribution[bits_to_index("101")] == pytest.approx(want, abs=1e-9)

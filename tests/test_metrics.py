@@ -104,3 +104,12 @@ def test_distribution_serialization_round_trip():
 def test_distribution_json_rejects_bad_length():
     with pytest.raises(ValueError):
         distribution_from_json('{"n_qubits": 2, "probabilities": [1.0]}')
+
+
+def test_expected_distribution_after_several_iterations():
+    for marked, k in [(("011",), 2), (("011",), 3), (("00",), 2), (("001", "110"), 2)]:
+        n = len(marked[0])
+        want = expected_grover_distribution(n, marked, iterations=k)
+        got = run_grover(GroverConfig(OracleSpec(n, marked, "phase"), k)).distribution
+        assert np.max(np.abs(want - got)) < 1e-9
+        assert want.sum() == pytest.approx(1.0, abs=1e-12)

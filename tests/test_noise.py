@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iongrover.decompositions import toffoli3_template, toffoli3_unitary
 from iongrover.gates import Circuit, RotationGate, XXGate, run
@@ -11,13 +14,14 @@ from iongrover.noise import (
     NoiseModel,
     SpamModel,
     apply_spam,
+    channel_distributions,
     confusion_matrix,
     correct_spam,
     load_noise_config,
     noisy_truth_table,
     run_noisy,
 )
-from iongrover.statevector import probabilities
+from iongrover.statevector import init_basis, probabilities
 
 TOFFOLI = toffoli3_template(0, 1, 2)
 TOFFOLI_PERM = permutation_of(toffoli3_unitary())
@@ -145,3 +149,100 @@ def test_load_noise_config_rejects_bad_values(tmp_path):
     path.write_text(json.dumps({"p_xx": 1.5}))
     with pytest.raises(ValueError):
         load_noise_config(str(path))
+
+
+def test_load_noise_config_rejects_ill_typed_values(tmp_path):
+    for doc in ({"p_xx": None}, {"p_r": True}, {"crosstalk": [0.1]},
+                {"trajectories": 1.7}, {"trajectories": "500"}, {"trajectories": -3},
+                {"seed": -1}, {"seed": 2.0}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_noise_config(str(path))
+
+
+def test_noisy_tables_ignore_trajectories_and_seed():
+    a = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 10, 1)
+    b = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 5000, 2)
+    assert np.array_equal(a, b)
+    # The exact channel pins the fitted rate's reference fidelity.
+    assert truth_table_fidelity(a, TOFFOLI_PERM) == pytest.approx(0.8965, abs=1e-4)
+
+
+def test_channel_rotation_noise_on_one_qubit():
+    # Two thirds of the injected Paulis undo the flip: exactly 0.2.
+    circ = Circuit(1, (RotationGate(0, np.pi, 0.0),))
+    dist = channel_distributions(circ, NoiseModel(p_r=0.3), [0])[0]
+    assert dist[0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_channel_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        channel_distributions(TOFFOLI, NoiseModel(), [])
+    with pytest.raises(ValueError):
+        channel_distributions(TOFFOLI, NoiseModel(), [8])
+
+
+_ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def native_circuits(draw):
+    """Random R/XX circuits on 1 to 4 qubits."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        if n > 1 and draw(st.booleans()):
+            qa, qb = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(XXGate(qa, qb, draw(_ANGLE)))
+        else:
+            gates.append(RotationGate(draw(st.integers(0, n - 1)), draw(_ANGLE), draw(_ANGLE)))
+    return Circuit(n, tuple(gates))
+
+
+_RATE = st.floats(0.01, 0.2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits())
+def test_channel_at_zero_noise_matches_exact_run(circ):
+    inputs = list(range(2**circ.n_qubits))
+    got = channel_distributions(circ, NoiseModel(), inputs)
+    for i in inputs:
+        want = probabilities(run(circ, init_basis(circ.n_qubits, i)))
+        assert np.max(np.abs(got[i] - want)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(), _RATE, _RATE)
+def test_channel_batch_matches_single_inputs(circ, p_xx, p_r):
+    noise = NoiseModel(p_xx, p_r)
+    inputs = list(reversed(range(2**circ.n_qubits)))
+    batch = channel_distributions(circ, noise, inputs)
+    for row, i in zip(batch, inputs):
+        assert np.max(np.abs(row - channel_distributions(circ, noise, [i])[0])) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(), _RATE, _RATE)
+def test_channel_rows_are_distributions(circ, p_xx, p_r):
+    dists = channel_distributions(circ, NoiseModel(p_xx, p_r), range(2**circ.n_qubits))
+    assert dists.shape == (2**circ.n_qubits,) * 2
+    assert np.all(dists >= 0.0)
+    assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(native_circuits(), _RATE, _RATE, st.data())
+def test_channel_agrees_with_trajectory_sampling(circ, p_xx, p_r, data):
+    n = circ.n_qubits
+    i = data.draw(st.integers(0, 2**n - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    noise = NoiseModel(p_xx, p_r)
+    trajectories = 4000
+    exact = channel_distributions(circ, noise, [i])[0]
+    sampled = run_noisy(circ, noise, trajectories, seed, init_basis(n, i))
+    # Each trajectory contributes a probability in [0, 1] with mean p, so
+    # its variance is at most p(1 - p); floor it where p is near 0 or 1.
+    se = np.sqrt(np.maximum(exact * (1 - exact), 1 / trajectories) / trajectories)
+    assert np.all(np.abs(sampled - exact) <= 6 * se)
