@@ -260,9 +260,7 @@ def fuse_rotations(circuit: Circuit) -> Circuit:
             continue
         prev = None
         for i in range(len(out) - 1, -1, -1):
-            h = out[i]
-            touched = (h.qubit,) if isinstance(h, RotationGate) else (h.qa, h.qb)
-            if g.qubit in touched:
+            if g.qubit in out[i].qubits:
                 prev = i
                 break
         if prev is not None:

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import (
-    MAX_QUBITS,
-    StateVector,
-    apply_one_qubit,
-    apply_two_qubit,
-    init_basis,
-)
+from .statevector import MAX_QUBITS, StateVector, apply_gate, init_basis
 
 
 def r_matrix(theta: float, phi: float) -> np.ndarray:
@@ -71,6 +65,10 @@ class RotationGate:
         if self.qubit < 0:
             raise ValueError(f"qubit index must be nonnegative, got {self.qubit}")
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.qubit,)
+
     def matrix(self) -> np.ndarray:
         return r_matrix(self.theta, self.phi)
 
@@ -90,6 +88,10 @@ class XXGate:
             raise ValueError("qubit indices must be nonnegative")
         if self.qa == self.qb:
             raise ValueError(f"XX qubits must differ, got ({self.qa}, {self.qb})")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.qa, self.qb)
 
     def matrix(self) -> np.ndarray:
         return xx_matrix(self.chi)
@@ -112,8 +114,7 @@ class Circuit:
             )
         gates = tuple(self.gates)
         for g in gates:
-            qs = (g.qubit,) if isinstance(g, RotationGate) else (g.qa, g.qb)
-            for q in qs:
+            for q in g.qubits:
                 if q >= self.n_qubits:
                     raise ValueError(
                         f"gate {g} touches qubit {q} outside register of "
@@ -130,6 +131,17 @@ def xx_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if isinstance(g, XXGate))
 
 
+def evolve(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Apply the circuit to every row of ``amps``, shape ``(batch, 2**n)``."""
+    n = circuit.n_qubits
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.ndim != 2 or amps.shape[1] != 2**n:
+        raise ValueError(f"expected amplitudes of shape (batch, {2**n}), got {amps.shape}")
+    for g in circuit.gates:
+        amps = apply_gate(amps, n, g.qubits, g.matrix())
+    return amps
+
+
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Apply the circuit to ``initial`` (default: all zeros)."""
     state = init_basis(circuit.n_qubits) if initial is None else initial
@@ -137,12 +149,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
         raise ValueError(
             f"state has {state.n_qubits} qubits, circuit expects {circuit.n_qubits}"
         )
-    for g in circuit.gates:
-        if isinstance(g, RotationGate):
-            state = apply_one_qubit(state, g.qubit, g.matrix())
-        else:
-            state = apply_two_qubit(state, g.qa, g.qb, g.matrix())
-    return state
+    return StateVector(state.n_qubits, evolve(circuit, state.amps[None])[0])
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

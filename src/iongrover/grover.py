@@ -29,6 +29,7 @@ from .decompositions import (
     PI,
     SgnMap,
     _ry,
+    _sgn,
     ccz_template,
     cnot_template,
     cz_template,
@@ -137,7 +138,7 @@ def _controlled_z_any(qubits: tuple[int, ...], sgn_map: SgnMap | None) -> Circui
     if len(qubits) == 1:
         return rz_template(qubits[0], PI)
     if len(qubits) == 2:
-        return cz_template(qubits[0], qubits[1], _pair(sgn_map, *qubits))
+        return cz_template(qubits[0], qubits[1], _sgn(sgn_map, *qubits))
     if len(qubits) == 3:
         return ccz_template(*qubits, sgn_map)
     raise ValueError(f"no controlled-Z template for {len(qubits)} qubits")
@@ -150,18 +151,12 @@ def _controlled_not_any(
     if len(controls) == 0:
         return x_template(target)
     if len(controls) == 1:
-        return cnot_template(controls[0], target, _pair(sgn_map, controls[0], target))
+        return cnot_template(controls[0], target, _sgn(sgn_map, controls[0], target))
     if len(controls) == 2:
         return toffoli3_template(controls[0], controls[1], target, sgn_map)
     if len(controls) == 3:
         return toffoli4_template(*controls, target, borrow, sgn_map)
     raise ValueError(f"no controlled-NOT template for {len(controls)} controls")
-
-
-def _pair(sgn_map: SgnMap | None, a: int, b: int) -> int:
-    if sgn_map is None:
-        return 1
-    return sgn_map.get((min(a, b), max(a, b)), 1)
 
 
 def _conjugate_zeros(label: str, qubits: tuple[int, ...], inner: Circuit) -> Circuit:
@@ -229,7 +224,7 @@ def _boolean_pair(
     diff = tuple(i for i in range(n) if b[i] != c[i])
     pivot = diff[0]
     basis_change = [
-        cnot_template(pivot, i, _pair(sgn_map, pivot, i)) for i in diff[1:]
+        cnot_template(pivot, i, _sgn(sgn_map, pivot, i)) for i in diff[1:]
     ]
     controls = tuple(i for i in range(n) if i != pivot)
     image = "".join(

@@ -10,8 +10,12 @@ channel and so gives exact noisy distributions; every noisy figure the
 package reports (truth tables, the probe, the CLI) comes from it, and
 trajectory counts and seeds no longer change those figures.
 :func:`run_noisy` is the Monte Carlo sampler of the same model, kept as
-an independent statistical check: it averages trajectories simulated as
-one batched state array and is deterministic for a fixed seed.
+an independent statistical check: it evolves all trajectories together
+as the rows of one ``(trajectories, 2**n)`` array, applies each sampled
+Pauli to the rows it hit, and is deterministic for a fixed seed. Both
+engines apply gates through :func:`iongrover.statevector.apply_gate`;
+the channel treats each density matrix as one row of ``4**n``
+amplitudes on 2n qubits.
 
 Readout errors are per-qubit asymmetric bit flips, optionally with
 crosstalk: a dark qubit's chance of reading bright grows with each
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, RotationGate, XXGate
-from .statevector import StateVector, basis_inputs, init_basis, marginal
+from .gates import Circuit, RotationGate
+from .statevector import StateVector, apply_gate, basis_inputs, init_basis, marginal
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -138,16 +142,6 @@ def load_noise_config(path: str) -> NoiseConfig:
     )
 
 
-def _apply_batch(amps: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
-    """Apply a gate to every trajectory at once; axis 0 is the batch."""
-    k = len(qubits)
-    psi = amps.reshape([-1] + [2] * n)
-    axes = [q + 1 for q in qubits]
-    psi = np.tensordot(u.reshape([2] * (2 * k)), psi, axes=(list(range(k, 2 * k)), axes))
-    psi = np.moveaxis(psi, list(range(k)), axes)
-    return psi.reshape(amps.shape[0], -1)
-
-
 def run_noisy(
     circuit: Circuit,
     noise: NoiseModel,
@@ -184,17 +178,13 @@ def run_noisy(
             op = _PAULIS[digits[0]]
             for d in digits[1:]:
                 op = np.kron(op, _PAULIS[d])
-            amps[mask] = _apply_batch(amps[mask], n, qubits, op)
+            amps[mask] = apply_gate(amps[mask], n, qubits, op)
 
     for g in circuit.gates:
-        if isinstance(g, RotationGate):
-            amps = _apply_batch(amps, n, (g.qubit,), g.matrix())
-            if noise.p_r > 0.0:
-                inject((g.qubit,), noise.p_r)
-        else:
-            amps = _apply_batch(amps, n, (g.qa, g.qb), g.matrix())
-            if noise.p_xx > 0.0:
-                inject((g.qa, g.qb), noise.p_xx)
+        amps = apply_gate(amps, n, g.qubits, g.matrix())
+        p = noise.p_r if isinstance(g, RotationGate) else noise.p_xx
+        if p > 0.0:
+            inject(g.qubits, p)
     return np.mean(np.abs(amps) ** 2, axis=0)
 
 
@@ -236,15 +226,12 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
     rho[np.arange(len(inputs)), np.array(inputs) * (dim + 1)] = 1.0
     lam_r, lam_xx = 4 * noise.p_r / 3, 16 * noise.p_xx / 15
     for g in circuit.gates:
-        if isinstance(g, RotationGate):
-            qubits, lam = (g.qubit,), lam_r
-        else:
-            qubits, lam = (g.qa, g.qb), lam_xx
         u = g.matrix()
-        rho = _apply_batch(rho, 2 * n, qubits, u)
-        rho = _apply_batch(rho, 2 * n, tuple(q + n for q in qubits), u.conj())
+        rho = apply_gate(rho, 2 * n, g.qubits, u)
+        rho = apply_gate(rho, 2 * n, tuple(q + n for q in g.qubits), u.conj())
+        lam = lam_r if isinstance(g, RotationGate) else lam_xx
         if lam > 0.0:
-            rho = _depolarize(rho, n, qubits, lam)
+            rho = _depolarize(rho, n, g.qubits, lam)
     diag = rho.reshape(-1, dim, dim).diagonal(axis1=1, axis2=2).real
     return np.clip(diag, 0.0, None)
 

@@ -112,15 +112,29 @@ def _check_qubit(state: StateVector, q: int):
         raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
 
 
+def apply_gate(amps: np.ndarray, n: int, qubits: tuple[int, ...], u: np.ndarray) -> np.ndarray:
+    """Apply the 2**k x 2**k matrix ``u`` to ``qubits`` of every row of ``amps``.
+
+    The one place where a gate acts on amplitudes. ``amps`` has shape
+    ``(batch, 2**n)``; row/column index of ``u`` is the bits on
+    ``qubits`` read in the given order, first qubit leftmost. Nothing is
+    validated here: the public wrappers below and the circuit types check
+    their inputs.
+    """
+    k = len(qubits)
+    psi = amps.reshape([-1] + [2] * n)
+    axes = [q + 1 for q in qubits]
+    psi = np.tensordot(u.reshape([2] * (2 * k)), psi, axes=(list(range(k, 2 * k)), axes))
+    psi = np.moveaxis(psi, list(range(k)), axes)
+    return psi.reshape(amps.shape[0], -1)
+
+
 def apply_one_qubit(state: StateVector, q: int, u: np.ndarray) -> StateVector:
     """Apply a 2x2 unitary to qubit ``q``."""
     u = _check_unitary(u, 2)
     _check_qubit(state, q)
     n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
-    psi = np.tensordot(u, psi, axes=([1], [q]))
-    psi = np.moveaxis(psi, 0, q)
-    return StateVector(n, psi.reshape(-1))
+    return StateVector(n, apply_gate(state.amps[None], n, (q,), u)[0])
 
 
 def apply_two_qubit(state: StateVector, qa: int, qb: int, u: np.ndarray) -> StateVector:
@@ -135,11 +149,7 @@ def apply_two_qubit(state: StateVector, qa: int, qb: int, u: np.ndarray) -> Stat
     if qa == qb:
         raise ValueError(f"qubit pair must be distinct, got ({qa}, {qb})")
     n = state.n_qubits
-    psi = state.amps.reshape([2] * n)
-    u4 = u.reshape(2, 2, 2, 2)
-    psi = np.tensordot(u4, psi, axes=([2, 3], [qa, qb]))
-    psi = np.moveaxis(psi, [0, 1], [qa, qb])
-    return StateVector(n, psi.reshape(-1))
+    return StateVector(n, apply_gate(state.amps[None], n, (qa, qb), u)[0])
 
 
 def probabilities(state: StateVector) -> np.ndarray:
