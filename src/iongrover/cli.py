@@ -114,10 +114,25 @@ def _load_configs(args) -> NoiseConfig:
 
 
 def _write_outputs(out_dir: str, files: dict[str, str]):
+    """Write every file under a temporary name in ``out_dir``, then rename
+    each into place, so a failed write leaves no partial output files."""
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    moves = []
+    try:
+        for name, text in files.items():
+            tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+            moves.append((tmp, os.path.join(out_dir, name)))
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for tmp, final in moves:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, _ in moves:
+            try:
+                os.remove(tmp)
+            except FileNotFoundError:
+                pass
+        raise
 
 
 def _results_json(command: str, cfg: NoiseConfig, rows: list[dict]) -> str:
@@ -308,10 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         files = _COMMANDS[args.command](args)
+        _write_outputs(args.out, files)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_outputs(args.out, files)
     return 0
 
 

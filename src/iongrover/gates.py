@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,17 @@ def xx_matrix(chi: float) -> np.ndarray:
     )
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a Python int: anything ``operator.index`` accepts
+    except a bool, so numpy integers pass and ``True`` or ``2.0`` raise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RotationGate:
     """R(theta, phi) on a single qubit."""
@@ -60,6 +72,7 @@ class RotationGate:
     phi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "qubit", _as_int(self.qubit, "qubit"))
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError("rotation angles must be finite")
         if self.qubit < 0:
@@ -82,6 +95,8 @@ class XXGate:
     chi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "qa", _as_int(self.qa, "qa"))
+        object.__setattr__(self, "qb", _as_int(self.qb, "qb"))
         if not math.isfinite(self.chi):
             raise ValueError("coupling angle must be finite")
         if self.qa < 0 or self.qb < 0:
@@ -108,6 +123,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(
                 f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}"
@@ -199,21 +215,42 @@ def circuit_to_json(circuit: Circuit) -> str:
     )
 
 
+def _json_field(entry: dict, key: str, where: str, kinds: tuple[type, ...]):
+    """``entry[key]``, required to be present and one of ``kinds``, never a bool."""
+    if key not in entry:
+        raise ValueError(f"malformed circuit JSON: {where} has no {key!r}")
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        what = "an integer" if kinds == (int,) else "a number"
+        raise ValueError(f"malformed circuit JSON: {where} {key} must be {what}, got {value!r}")
+    return value
+
+
 def circuit_from_json(text: str) -> Circuit:
-    """Parse a circuit serialized by :func:`circuit_to_json`."""
+    """Parse a circuit serialized by :func:`circuit_to_json`.
+
+    Malformed input raises ValueError naming the bad field.
+    """
     data = json.loads(text)
-    try:
-        n = data["n_qubits"]
-        raw = data["gates"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed circuit JSON: missing {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed circuit JSON: expected an object, got {data!r}")
+    n = _json_field(data, "n_qubits", "circuit", (int,))
+    raw = data.get("gates")
+    if not isinstance(raw, list):
+        raise ValueError(f"malformed circuit JSON: gates must be a list, got {raw!r}")
     gates: list[Gate] = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        where = f"gates[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"malformed circuit JSON: {where} must be an object, got {entry!r}")
         kind = entry.get("kind")
         if kind == "R":
-            gates.append(RotationGate(entry["q"], entry["theta"], entry["phi"]))
+            q = _json_field(entry, "q", where, (int,))
+            theta, phi = (_json_field(entry, k, where, (int, float)) for k in ("theta", "phi"))
+            gates.append(RotationGate(q, theta, phi))
         elif kind == "XX":
-            gates.append(XXGate(entry["qa"], entry["qb"], entry["chi"]))
+            qa, qb = (_json_field(entry, k, where, (int,)) for k in ("qa", "qb"))
+            gates.append(XXGate(qa, qb, _json_field(entry, "chi", where, (int, float))))
         else:
             raise ValueError(f"unknown gate kind: {kind!r}")
     return Circuit(n, tuple(gates))

@@ -38,7 +38,7 @@ from .decompositions import (
     toffoli4_template,
     x_template,
 )
-from .gates import Circuit, Gate, RotationGate, concat, run, xx_count
+from .gates import Circuit, Gate, RotationGate, _as_int, concat, run, xx_count
 from .statevector import all_labels, bits_to_index, init_basis, marginal, probabilities
 
 MAX_DATA_QUBITS = 3
@@ -55,6 +55,7 @@ class OracleSpec:
     style: str
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _as_int(self.n_qubits, "n_qubits"))
         if not 1 <= self.n_qubits <= MAX_DATA_QUBITS:
             raise ValueError(
                 f"n_qubits must be in 1..{MAX_DATA_QUBITS}, got {self.n_qubits}"
@@ -78,6 +79,7 @@ class GroverConfig:
     iterations: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "iterations", _as_int(self.iterations, "iterations"))
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
 

@@ -231,3 +231,42 @@ def test_tomography_trajectories_flag_is_accepted_but_inert(tmp_path, capsys):
     assert outs[0] == outs[1]
     assert main(["tomography", "--trajectories", "0", "--out", str(tmp_path / "c")]) == 1
     assert "trajectories must be a positive integer" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_is_a_clean_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me")
+    assert main(["costs", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert target.read_text() == "keep me"
+
+
+def test_failed_write_leaves_no_output_files(tmp_path, monkeypatch, capsys):
+    from iongrover import cli
+
+    real_open = open
+
+    def full_disk(path, mode="r", *args, **kwargs):
+        if "w" in mode and "results.csv" in os.path.basename(path):
+            raise OSError(28, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "results.json").write_text("old")
+    assert main(["costs", "--format", "csv", "--out", str(out)]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["results.json"]
+    assert (out / "results.json").read_text() == "old"
+
+
+def test_outputs_keep_default_file_permissions(tmp_path):
+    out = tmp_path / "o"
+    assert main(["costs", "--format", "csv", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["results.csv", "results.json"]
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in os.listdir(out):
+        assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iongrover.gates import (
     Circuit,
@@ -9,13 +13,20 @@ from iongrover.gates import (
     circuit_to_json,
     circuit_unitary,
     concat,
+    evolve,
     inverse,
     r_matrix,
     run,
     xx_count,
     xx_matrix,
 )
-from iongrover.statevector import init_basis
+from iongrover.statevector import (
+    MAX_QUBITS,
+    StateVector,
+    apply_one_qubit,
+    apply_two_qubit,
+    init_basis,
+)
 
 PI = np.pi
 
@@ -128,3 +139,119 @@ def test_json_round_trip():
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         circuit_from_json('{"n_qubits": 1, "gates": [{"kind": "CZ"}]}')
+
+
+def _r(**fields):
+    return {"kind": "R", "q": 0, "theta": 0.5, "phi": 0.0, **fields}
+
+
+def _xx(**fields):
+    return {"kind": "XX", "qa": 0, "qb": 1, "chi": 0.5, **fields}
+
+
+def _without(gate, key):
+    return {k: v for k, v in gate.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"n_qubits": 2, "gates": [_without(_r(), "q")]}, "'q'"),
+        ({"n_qubits": 2, "gates": [_without(_r(), "theta")]}, "'theta'"),
+        ({"n_qubits": 2, "gates": [_without(_r(), "phi")]}, "'phi'"),
+        ({"n_qubits": 2, "gates": [_without(_xx(), "qa")]}, "'qa'"),
+        ({"n_qubits": 2, "gates": [_without(_xx(), "qb")]}, "'qb'"),
+        ({"n_qubits": 2, "gates": [_without(_xx(), "chi")]}, "'chi'"),
+        ({"n_qubits": 2, "gates": [1]}, "gates\\[0\\]"),
+        ({"n_qubits": 2, "gates": [_xx(chi="x")]}, "chi"),
+        ({"n_qubits": 2, "gates": [_r(q=True)]}, "q must be an integer"),
+        ({"n_qubits": 2, "gates": [_xx(qb=1.0)]}, "qb must be an integer"),
+        ({"n_qubits": 2.0, "gates": []}, "n_qubits"),
+        ({"n_qubits": 2, "gates": {}}, "gates"),
+        ({"gates": []}, "n_qubits"),
+        ([], "object"),
+    ],
+)
+def test_json_rejects_malformed_fields(doc, field):
+    with pytest.raises(ValueError, match=field):
+        circuit_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Circuit(2.0),
+        lambda: Circuit(True),
+        lambda: RotationGate(True, 0.5, 0.0),
+        lambda: RotationGate(0.0, 0.5, 0.0),
+        lambda: XXGate(0, 1.0, 0.5),
+        lambda: XXGate(np.bool_(False), 1, 0.5),
+    ],
+    ids=["n_qubits-float", "n_qubits-bool", "qubit-bool", "qubit-float", "qb-float",
+         "qa-numpy-bool"],
+)
+def test_integer_fields_reject_bools_and_floats(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_integer_fields_accept_numpy_integers():
+    gate = XXGate(np.int64(0), np.int32(1), 0.5)
+    circ = Circuit(np.int64(2), (gate, RotationGate(np.uint8(1), 0.5, 0.0)))
+    assert type(circ.n_qubits) is int and type(gate.qa) is int
+    assert circuit_from_json(circuit_to_json(circ)) == circ
+
+
+_ANGLE = st.floats(-np.pi, np.pi, allow_nan=False)
+
+
+@st.composite
+def native_circuits(draw):
+    """Random R/XX circuits on 1 to MAX_QUBITS qubits."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        if n > 1 and draw(st.booleans()):
+            qa, qb = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(XXGate(qa, qb, draw(_ANGLE)))
+        else:
+            gates.append(RotationGate(draw(st.integers(0, n - 1)), draw(_ANGLE), draw(_ANGLE)))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(), st.data())
+def test_run_matches_the_chain_of_checked_wrappers(circ, data):
+    n = circ.n_qubits
+    start = init_basis(n, data.draw(st.integers(0, 2**n - 1)))
+    state = start
+    for g in circ.gates:
+        if isinstance(g, RotationGate):
+            state = apply_one_qubit(state, g.qubit, g.matrix())
+        else:
+            state = apply_two_qubit(state, g.qa, g.qb, g.matrix())
+    assert np.max(np.abs(run(circ, start).amps - state.amps)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(), st.data())
+def test_evolve_on_basis_rows_matches_per_row_run(circ, data):
+    n = circ.n_qubits
+    rows = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=2**n))
+    batch = evolve(circ, np.eye(2**n)[rows])
+    assert batch.shape == (len(rows), 2**n)
+    for got, k in zip(batch, rows):
+        assert np.max(np.abs(got - run(circ, init_basis(n, k)).amps)) < 1e-12
+
+
+def test_evolve_checks_the_batch_shape():
+    circ = Circuit(2, (XXGate(0, 1, 0.3),))
+    with pytest.raises(ValueError):
+        evolve(circ, np.ones(4))
+    with pytest.raises(ValueError):
+        evolve(circ, np.ones((1, 8)))
+
+
+def test_run_returns_a_validated_state():
+    out = run(Circuit(1, (RotationGate(0, 0.3, 0.0),)))
+    assert isinstance(out, StateVector) and not out.amps.flags.writeable

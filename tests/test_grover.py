@@ -231,3 +231,23 @@ def test_theoretical_asp_matches_simulation(iterations):
     res = run_grover(GroverConfig(spec, iterations=iterations))
     want = theoretical_asp(8, 1, iterations)
     assert res.distribution[bits_to_index("101")] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OracleSpec(True, ("1",), "phase"),
+        lambda: OracleSpec(2.0, ("01",), "phase"),
+        lambda: GroverConfig(OracleSpec(2, ("01",), "phase"), 1.5),
+        lambda: GroverConfig(OracleSpec(2, ("01",), "phase"), True),
+    ],
+    ids=["n_qubits-bool", "n_qubits-float", "iterations-float", "iterations-bool"],
+)
+def test_integer_fields_reject_bools_and_floats(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_integer_fields_accept_numpy_integers():
+    config = GroverConfig(OracleSpec(np.int64(2), ("01",), "phase"), np.int32(2))
+    assert type(config.oracle.n_qubits) is int and type(config.iterations) is int

@@ -7,6 +7,7 @@ from iongrover.statevector import (
     MAX_QUBITS,
     StateVector,
     all_labels,
+    apply_gate,
     apply_one_qubit,
     apply_two_qubit,
     bits_to_index,
@@ -143,3 +144,29 @@ def test_sample_is_deterministic_and_complete():
 def test_sample_rejects_negative_shots():
     with pytest.raises(ValueError):
         sample(init_basis(1, 0), -1, seed=0)
+
+
+def _embedded(n, qubits, u):
+    """Dense 2**n matrix of ``u`` acting on ``qubits``, entry by entry."""
+    bit = lambda index, q: (index >> (n - 1 - q)) & 1
+    sub = lambda index: sum(bit(index, q) << (len(qubits) - 1 - i) for i, q in enumerate(qubits))
+    rest = lambda index: [bit(index, q) for q in range(n) if q not in qubits]
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**n):
+        for j in range(2**n):
+            if rest(i) == rest(j):
+                full[i, j] = u[sub(i), sub(j)]
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_gate_matches_the_dense_embedding(data):
+    n = data.draw(st.integers(1, MAX_QUBITS))
+    k = data.draw(st.integers(1, min(2, n)))
+    qubits = tuple(data.draw(st.permutations(range(n)))[:k])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    got = apply_gate(amps, n, qubits, u)
+    assert np.max(np.abs(got - amps @ _embedded(n, qubits, u).T)) < 1e-12

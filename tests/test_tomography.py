@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from iongrover.decompositions import cz_template, toffoli3_template
-from iongrover.gates import Circuit, concat
+from iongrover.gates import Circuit, concat, run
 from iongrover.noise import NoiseModel
+from iongrover.statevector import init_basis, probabilities
 from iongrover.tomography import (
     PLUS_ROTATION_INPUTS,
     limited_tomography,
+    probed_circuit,
     tomography_success,
 )
 
@@ -60,3 +62,15 @@ def test_register_width_is_checked():
 def test_success_requires_full_table():
     with pytest.raises(ValueError):
         tomography_success(np.eye(4))
+
+
+@pytest.mark.parametrize("stray_cz", [False, True])
+def test_probe_table_matches_per_input_runs(stray_cz):
+    circuit = toffoli3_template(0, 1, 2)
+    if stray_cz:
+        circuit = concat(circuit, cz_template(0, 1))
+    table = limited_tomography(circuit)
+    for k in range(8):
+        label = format(k, "03b")
+        want = probabilities(run(probed_circuit(circuit, label), init_basis(3, label)))
+        assert np.max(np.abs(table[k] - want)) < 1e-12
