@@ -17,6 +17,7 @@ nothing is written until a command has fully succeeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -124,6 +125,9 @@ def _write_outputs(out_dir: str, files: dict[str, str]):
             moves.append((tmp, os.path.join(out_dir, name)))
             with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+        for _, final in moves:
+            if os.path.isdir(final):
+                raise IsADirectoryError(errno.EISDIR, "output name is a directory", final)
         for tmp, final in moves:
             os.replace(tmp, final)
     except BaseException:

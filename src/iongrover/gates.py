@@ -55,6 +55,8 @@ def xx_matrix(chi: float) -> np.ndarray:
 def _as_int(value, name: str) -> int:
     """``value`` as a Python int: anything ``operator.index`` accepts
     except a bool, so numpy integers pass and ``True`` or ``2.0`` raise."""
+    if type(value) is int:  # the common case; skips the slower checks below
+        return value
     if not isinstance(value, bool):
         try:
             return operator.index(value)

@@ -40,9 +40,10 @@ def limited_tomography(
 ) -> np.ndarray:
     """Probe table: rows are basis inputs, columns outcome probabilities.
 
-    Under gate noise the rows are exact: one batch through
-    :func:`iongrover.noise.channel_distributions` per probe-rotation
-    sign, holding its four inputs. ``trajectories`` and ``seed`` are
+    Each probe-rotation sign runs as one batch of its four inputs:
+    through :func:`iongrover.gates.evolve` without noise, through
+    :func:`iongrover.noise.channel_distributions` under gate noise, so
+    the rows are exact either way. ``trajectories`` and ``seed`` are
     accepted for compatibility and no longer change the result.
     """
     if circuit.n_qubits != 3:

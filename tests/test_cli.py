@@ -262,6 +262,14 @@ def test_failed_write_leaves_no_output_files(tmp_path, monkeypatch, capsys):
     assert (out / "results.json").read_text() == "old"
 
 
+def test_output_name_taken_by_a_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "results.csv").mkdir(parents=True)
+    assert main(["costs", "--format", "csv", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(os.listdir(out)) == ["results.csv"]
+
+
 def test_outputs_keep_default_file_permissions(tmp_path):
     out = tmp_path / "o"
     assert main(["costs", "--format", "csv", "--out", str(out)]) == 0
