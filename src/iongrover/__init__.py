@@ -29,6 +29,7 @@ from .gates import (
     circuit_to_json,
     circuit_unitary,
     concat,
+    fuse_blocks,
     inverse,
     r_matrix,
     run,
@@ -87,6 +88,7 @@ from .statevector import (
     marginal,
     probabilities,
     sample,
+    sample_counts,
 )
 from .tomography import limited_tomography, tomography_success
 

@@ -23,8 +23,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .decompositions import GATE_TEMPLATES, cz_template, toffoli_n_cost
 from .gates import concat, run, xx_count
@@ -54,7 +52,7 @@ from .noise import (
     load_noise_config,
     noisy_truth_table,
 )
-from .statevector import all_labels, marginal, probabilities
+from .statevector import all_labels, marginal, probabilities, sample_counts
 from .tomography import limited_tomography, tomography_success
 
 _NO_NOISE = NoiseConfig(NoiseModel(), SpamModel())
@@ -116,10 +114,16 @@ def _load_configs(args) -> NoiseConfig:
 
 def _write_outputs(out_dir: str, files: dict[str, str]):
     """Write every file under a temporary name in ``out_dir``, then rename
-    each into place, so a failed write leaves no partial output files."""
-    os.makedirs(out_dir, exist_ok=True)
+    each into place, so a failed write leaves no partial output files and
+    no directory that this call created."""
+    made = []  # directories this call creates, deepest first
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     moves = []
     try:
+        os.makedirs(out_dir, exist_ok=True)
         for name, text in files.items():
             tmp = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
             moves.append((tmp, os.path.join(out_dir, name)))
@@ -135,6 +139,11 @@ def _write_outputs(out_dir: str, files: dict[str, str]):
             try:
                 os.remove(tmp)
             except FileNotFoundError:
+                pass
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:
                 pass
         raise
 
@@ -217,8 +226,7 @@ def _one_grover(job):
         "distribution": [float(p) for p in dist],
     }
     if shots is not None:
-        counts = np.random.default_rng((job_seed, 1)).multinomial(shots, dist / dist.sum())
-        row["counts"] = [int(c) for c in counts]
+        row["counts"] = [int(c) for c in sample_counts(dist, shots, (job_seed, 1))]
     return row
 
 

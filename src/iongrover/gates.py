@@ -149,14 +149,80 @@ def xx_count(circuit: Circuit) -> int:
     return sum(1 for g in circuit.gates if isinstance(g, XXGate))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two square matrices, ``a`` on the left factor.
+
+    Built by broadcasting: ``np.kron`` costs far more than the product on
+    matrices this small.
+    """
+    da, db = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(da * db, da * db)
+
+
+def fuse_blocks(ops, d: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Fuse ``(sites, matrix)`` ops, applied in order, into fewer blocks.
+
+    Each op acts on one or two distinct sites of local dimension ``d``
+    with a ``d**k x d**k`` matrix whose index reads the sites in the
+    given order, first site leftmost. The returned ``(sites, matrix)``
+    blocks, applied in order, compose to exactly the same map for any
+    matrices, because an op only ever moves past ops on other sites:
+
+    - a 1-site op multiplies into the last coupling block on its site;
+    - 1-site ops on a site with no coupling yet multiply together, and
+      the first coupling on that site absorbs them;
+    - a coupling merges into the last block when that block is the last
+      on both of its sites (swapped if the pair is reversed), and
+      otherwise starts a new block.
+
+    Sites that never meet a coupling end with one 1-site block each.
+    """
+    blocks: list[list] = []  # [sites, matrix] of each coupling block
+    last: dict[int, list] = {}  # site -> its latest coupling block
+    pending: dict[int, np.ndarray] = {}  # site -> its 1-site ops before any coupling
+    for sites, u in ops:
+        if len(sites) == 1:
+            q = sites[0]
+            block = last.get(q)
+            if block is None:
+                p = pending.get(q)
+                pending[q] = u if p is None else u.dot(p)
+                continue
+            m = block[1]
+            if block[0][0] == q:  # kron(u, 1) @ m
+                block[1] = u.dot(m.reshape(d, -1)).reshape(m.shape)
+            else:  # kron(1, u) @ m
+                block[1] = (u @ m.reshape(d, d, -1)).reshape(m.shape)
+            continue
+        a, b = sites
+        block = last.get(a)
+        if block is not None and block is last.get(b):
+            if block[0] != sites:
+                u = u.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+            block[1] = u.dot(block[1])
+            continue
+        pa, pb = pending.pop(a, None), pending.pop(b, None)
+        if pa is not None or pb is not None:
+            eye = np.eye(d)
+            u = u.dot(_kron(eye if pa is None else pa, eye if pb is None else pb))
+        block = [sites, u]
+        blocks.append(block)
+        last[a] = last[b] = block
+    return [(s, m) for s, m in blocks] + [((q,), p) for q, p in pending.items()]
+
+
 def evolve(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
-    """Apply the circuit to every row of ``amps``, shape ``(batch, 2**n)``."""
+    """Apply the circuit to every row of ``amps``, shape ``(batch, 2**n)``.
+
+    The gates are first fused by :func:`fuse_blocks`, then applied one
+    block at a time.
+    """
     n = circuit.n_qubits
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 2**n:
         raise ValueError(f"expected amplitudes of shape (batch, {2**n}), got {amps.shape}")
-    for g in circuit.gates:
-        amps = apply_gate(amps, n, g.qubits, g.matrix())
+    for qubits, u in fuse_blocks([(g.qubits, g.matrix()) for g in circuit.gates], 2):
+        amps = apply_gate(amps, n, qubits, u)
     return amps
 
 
@@ -184,11 +250,15 @@ def concat(*circuits: Circuit) -> Circuit:
     """Concatenate circuits onto a register wide enough for all of them."""
     if not circuits:
         raise ValueError("need at least one circuit")
-    n = max(c.n_qubits for c in circuits)
-    gates: list[Gate] = []
     for c in circuits:
-        gates.extend(c.gates)
-    return Circuit(n, tuple(gates))
+        if not isinstance(c, Circuit):
+            raise TypeError(f"expected a Circuit, got {type(c).__name__}")
+    # Every part was validated when it was built, and each gate fits the
+    # widest part, so the per-gate check of Circuit(...) is skipped.
+    out = object.__new__(Circuit)
+    object.__setattr__(out, "n_qubits", max(c.n_qubits for c in circuits))
+    object.__setattr__(out, "gates", tuple(g for c in circuits for g in c.gates))
+    return out
 
 
 def inverse(circuit: Circuit) -> Circuit:

@@ -13,9 +13,15 @@ trajectory counts and seeds no longer change those figures.
 an independent statistical check: it evolves all trajectories together
 as the rows of one ``(trajectories, 2**n)`` array, applies each sampled
 Pauli to the rows it hit, and is deterministic for a fixed seed. Both
-engines apply gates through :func:`iongrover.statevector.apply_gate`;
-the channel treats each density matrix as one row of ``4**n``
-amplitudes on 2n qubits.
+engines apply gates through :func:`iongrover.statevector.apply_gate`.
+
+The channel treats each density matrix as one row of ``4**n`` entries,
+qubit q's row and column bits forming one 4-level site. Each gate
+becomes its superoperator on its sites, kron(U, conj U) followed by the
+depolarizer (1 - lam) 1 + (lam / 2^k) |I>><<I|, and
+:func:`iongrover.gates.fuse_blocks` fuses those into one block per
+coupling, the same plan the pure-state engine runs. Superoperators
+compose as linear maps, so the fusion is exact at any noise rate.
 
 Readout errors are per-qubit asymmetric bit flips, optionally with
 crosstalk: a dark qubit's chance of reading bright grows with each
@@ -26,14 +32,13 @@ an observed distribution.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, RotationGate
+from .gates import Circuit, RotationGate, fuse_blocks
 from .statevector import StateVector, apply_gate, basis_inputs, init_basis, marginal
 
 _I = np.eye(2, dtype=np.complex128)
@@ -188,20 +193,31 @@ def run_noisy(
     return np.mean(np.abs(amps) ** 2, axis=0)
 
 
-def _depolarize(rho: np.ndarray, n: int, qubits: tuple[int, ...], lam: float) -> np.ndarray:
-    """rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k on qubits Q, for a
-    batch of density matrices stored as 2n-qubit states (rows first)."""
-    k = len(qubits)
-    t = np.ascontiguousarray(rho).reshape((rho.shape[0],) + (2,) * (2 * n))
-    # View with the row and column axes of Q last; writes land in t.
-    v = np.moveaxis(t, [q + 1 for q in qubits] + [q + 1 + n for q in qubits],
-                    range(-2 * k, 0))
-    diagonal = [(Ellipsis,) + d + d for d in itertools.product((0, 1), repeat=k)]
-    mixed = sum(v[d] for d in diagonal) * (lam / 2**k)
-    v *= 1.0 - lam
-    for d in diagonal:
-        v[d] += mixed
-    return t.reshape(rho.shape)
+# Broadcast indices that interleave the row and column factors of
+# kron(U, conj U) site by site: row qubit q of a k-qubit gate sits next
+# to its column qubit, so each site is one base-4 digit (2*row + col).
+_SITE_MAJOR = {
+    1: (np.s_[:, None, :, None], np.s_[None, :, None, :]),
+    2: (np.s_[:, None, :, None, :, None, :, None], np.s_[None, :, None, :, None, :, None, :]),
+}
+# |I>> of one site, site-major: the entries with row bit = column bit.
+_VEC_I = np.array([1.0, 0.0, 0.0, 1.0])
+
+
+def _superoperator(u: np.ndarray, k: int, depolarizer: np.ndarray | None) -> np.ndarray:
+    """Site-major superoperator of the k-qubit gate ``u``: rho -> u rho u^dagger,
+    followed by ``depolarizer`` when given."""
+    rows, cols = _SITE_MAJOR[k]
+    t = (2,) * (2 * k)
+    s = (u.reshape(t)[rows] * u.conj().reshape(t)[cols]).reshape(4**k, 4**k)
+    return s if depolarizer is None else depolarizer @ s
+
+
+def _depolarizer(k: int, lam: float) -> np.ndarray:
+    """Site-major superoperator of rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k
+    on k qubits Q: (1 - lam) 1 + (lam / 2^k) |I>><<I|."""
+    vec_i = _VEC_I if k == 1 else np.outer(_VEC_I, _VEC_I).reshape(-1)
+    return (1.0 - lam) * np.eye(4**k) + (lam / 2**k) * np.outer(vec_i, vec_i)
 
 
 def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.ndarray:
@@ -211,8 +227,10 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
     evolved as a 2n-qubit state: a gate U on qubits Q acts as U on Q and
     conj(U) on Q + n. After each coupling (rotation) with p_xx (p_r) > 0
     the depolarizing channel of the random-Pauli model acts on its
-    qubits. Returns an array of shape ``(len(inputs), 2**n)``; at zero
-    noise each row equals the pure-state distribution.
+    qubits. The gates run as fused superoperator blocks, one
+    :func:`iongrover.statevector.apply_gate` call per block. Returns an
+    array of shape ``(len(inputs), 2**n)``; at zero noise each row equals
+    the pure-state distribution.
     """
     n = circuit.n_qubits
     dim = 2**n
@@ -224,14 +242,14 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
             raise ValueError(f"input {i} out of range for {n} qubits")
     rho = np.zeros((len(inputs), dim * dim), dtype=np.complex128)
     rho[np.arange(len(inputs)), np.array(inputs) * (dim + 1)] = 1.0
-    lam_r, lam_xx = 4 * noise.p_r / 3, 16 * noise.p_xx / 15
+    lam = {1: 4 * noise.p_r / 3, 2: 16 * noise.p_xx / 15}
+    depolarizers = {k: _depolarizer(k, v) for k, v in lam.items() if v > 0.0}
+    ops = []
     for g in circuit.gates:
-        u = g.matrix()
-        rho = apply_gate(rho, 2 * n, g.qubits, u)
-        rho = apply_gate(rho, 2 * n, tuple(q + n for q in g.qubits), u.conj())
-        lam = lam_r if isinstance(g, RotationGate) else lam_xx
-        if lam > 0.0:
-            rho = _depolarize(rho, n, g.qubits, lam)
+        k = len(g.qubits)
+        ops.append((g.qubits, _superoperator(g.matrix(), k, depolarizers.get(k))))
+    for sites, m in fuse_blocks(ops, 4):
+        rho = apply_gate(rho, 2 * n, tuple(x for q in sites for x in (q, q + n)), m)
     diag = rho.reshape(-1, dim, dim).diagonal(axis1=1, axis2=2).real
     return np.clip(diag, 0.0, None)
 

@@ -182,15 +182,24 @@ def marginal(probs: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndar
     return np.transpose(grid, axes=perm).reshape(-1)
 
 
+def sample_counts(distribution: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Sample measurement counts for ``shots`` draws from ``distribution``.
+
+    The distribution is renormalized to sum 1 first. ``seed`` is anything
+    ``np.random.default_rng`` accepts (an integer, or a tuple of them for
+    a separate stream), and fixes the counts. Returns integer counts per
+    entry, summing to ``shots``.
+    """
+    if shots < 0:
+        raise ValueError(f"shots must be nonnegative, got {shots}")
+    p = np.asarray(distribution, dtype=np.float64)
+    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
+
+
 def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """Sample measurement counts for ``shots`` repetitions.
+    """Sample measurement counts of ``state`` for ``shots`` repetitions.
 
     Deterministic for a fixed seed. Returns integer counts per basis
     state, summing to ``shots``.
     """
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
-    p = probabilities(state)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p)
+    return sample_counts(probabilities(state), shots, seed)

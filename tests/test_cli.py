@@ -278,3 +278,16 @@ def test_outputs_keep_default_file_permissions(tmp_path):
     os.umask(umask)
     for name in os.listdir(out):
         assert os.stat(out / name).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_into_a_new_directory_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    from iongrover import cli
+
+    def full_disk(path, mode="r", *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    out = tmp_path / "new" / "deeper"
+    assert main(["costs", "--out", str(out)]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

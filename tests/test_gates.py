@@ -255,3 +255,26 @@ def test_evolve_checks_the_batch_shape():
 def test_run_returns_a_validated_state():
     out = run(Circuit(1, (RotationGate(0, 0.3, 0.0),)))
     assert isinstance(out, StateVector) and not out.amps.flags.writeable
+
+
+def test_concat_equals_the_validated_construction():
+    parts = (
+        Circuit(2, (RotationGate(0, 0.3, 0.1), XXGate(1, 0, 0.2))),
+        Circuit(4, (XXGate(3, 2, -0.4),)),
+        Circuit(1, ()),
+        Circuit(3, (RotationGate(2, 1.1, -0.5),)),
+    )
+    got = concat(*parts)
+    want = Circuit(4, tuple(g for c in parts for g in c.gates))
+    assert got == want and hash(got) == hash(want)
+    assert type(got) is Circuit and type(got.n_qubits) is int and type(got.gates) is tuple
+    assert concat(parts[0]) == parts[0]
+
+
+def test_circuit_still_rejects_gates_outside_the_register():
+    with pytest.raises(ValueError, match="outside register"):
+        Circuit(2, (RotationGate(2, 0.1, 0.0),))
+    with pytest.raises(ValueError, match="outside register"):
+        Circuit(3, (XXGate(0, 3, 0.1),))
+    with pytest.raises(TypeError):
+        concat(Circuit(2, ()), (RotationGate(5, 0.1, 0.0),))

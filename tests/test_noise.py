@@ -246,3 +246,11 @@ def test_channel_agrees_with_trajectory_sampling(circ, p_xx, p_r, data):
     # its variance is at most p(1 - p); floor it where p is near 0 or 1.
     se = np.sqrt(np.maximum(exact * (1 - exact), 1 / trajectories) / trajectories)
     assert np.all(np.abs(sampled - exact) <= 6 * se)
+
+
+def test_fitted_rate_is_tied_to_the_reference_fidelity():
+    """FITTED_P_XX was fitted to the five-coupling Toffoli's observed
+    truth-table fidelity of about 0.896; the exact channel must keep it
+    there, so a change to the constant or the channel shows up here."""
+    table = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 1, 0)
+    assert abs(truth_table_fidelity(table, TOFFOLI_PERM) - 0.896) < 0.001

@@ -16,6 +16,7 @@ from iongrover.statevector import (
     marginal,
     probabilities,
     sample,
+    sample_counts,
 )
 
 RX90 = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2)
@@ -170,3 +171,22 @@ def test_apply_gate_matches_the_dense_embedding(data):
     amps = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
     got = apply_gate(amps, n, qubits, u)
     assert np.max(np.abs(got - amps @ _embedded(n, qubits, u).T)) < 1e-12
+
+
+def test_sample_counts_keeps_the_seed_streams_of_both_callers():
+    state = init_basis(2, "01")
+    state = apply_one_qubit(state, 0, HAD)
+    p = probabilities(state)
+    assert np.array_equal(sample(state, 300, 5), sample_counts(p, 300, 5))
+    assert np.array_equal(
+        sample_counts(p, 300, 5), np.random.default_rng(5).multinomial(300, p / p.sum())
+    )
+    # The CLI draws --shots counts from its own (job_seed, 1) stream.
+    unnormalized = 2 * p
+    assert np.array_equal(
+        sample_counts(unnormalized, 300, (700021, 1)),
+        np.random.default_rng((700021, 1)).multinomial(300, unnormalized / unnormalized.sum()),
+    )
+    assert sample_counts(p, 300, 5).sum() == 300
+    with pytest.raises(ValueError):
+        sample_counts(p, -1, 5)
