@@ -72,6 +72,7 @@ from .noise import (
     channel_distributions,
     confusion_matrix,
     correct_spam,
+    distributions,
     load_noise_config,
     noisy_truth_table,
     run_noisy,
@@ -86,6 +87,7 @@ from .statevector import (
     index_to_bits,
     init_basis,
     marginal,
+    marginals,
     probabilities,
     sample,
     sample_counts,

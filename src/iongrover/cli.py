@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .decompositions import GATE_TEMPLATES, cz_template, toffoli_n_cost
-from .gates import concat, run, xx_count
+from .gates import concat, xx_count
 from .grover import (
     GroverConfig,
     OracleSpec,
@@ -40,7 +40,6 @@ from .metrics import (
     expected_grover_distribution,
     permutation_of,
     sso,
-    truth_table,
     truth_table_fidelity,
 )
 from .noise import (
@@ -48,11 +47,10 @@ from .noise import (
     NoiseModel,
     SpamModel,
     apply_spam,
-    channel_distributions,
+    distributions,
     load_noise_config,
-    noisy_truth_table,
 )
-from .statevector import all_labels, marginal, probabilities, sample_counts
+from .statevector import all_labels, basis_inputs, sample_counts
 from .tomography import limited_tomography, tomography_success
 
 _NO_NOISE = NoiseConfig(NoiseModel(), SpamModel())
@@ -179,12 +177,8 @@ def cmd_gate_table(args) -> dict[str, str]:
         tmpl = GATE_TEMPLATES[name]
         circuit = tmpl.build(None)
         perm = permutation_of(tmpl.ideal)
-        if cfg.noise.trivial:
-            table = truth_table(circuit, tmpl.io_qubits)
-        else:
-            table = noisy_truth_table(
-                circuit, tmpl.io_qubits, cfg.noise, cfg.trajectories, cfg.seed
-            )
+        inputs = basis_inputs(circuit.n_qubits, tmpl.io_qubits)
+        table = distributions(circuit, cfg.noise, inputs, tmpl.io_qubits)
         rows.append(
             {
                 "name": name,
@@ -205,12 +199,7 @@ def _one_grover(job):
     spec, iterations, cfg, shots, job_seed = job
     circuit = grover_circuit(GroverConfig(spec, iterations))
     n = spec.n_qubits
-    data = tuple(range(n))
-    if cfg.noise.trivial:
-        dist = probabilities(run(circuit))
-    else:
-        dist = channel_distributions(circuit, cfg.noise, [0])[0]
-    dist = marginal(dist, circuit.n_qubits, data)
+    dist = distributions(circuit, cfg.noise, [0], tuple(range(n)))[0]
     if not cfg.spam.trivial:
         dist = apply_spam(dist, cfg.spam)
     expected = expected_grover_distribution(n, spec.marked, iterations)
@@ -331,8 +320,14 @@ _COMMANDS = {
 }
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         files = _COMMANDS[args.command](args)
         _write_outputs(args.out, files)

@@ -17,39 +17,48 @@ import numpy as np
 from .statevector import MAX_QUBITS, StateVector, apply_gate, init_basis
 
 
-def r_matrix(theta: float, phi: float) -> np.ndarray:
-    """Rotation by ``theta`` about the Bloch axis (cos phi, sin phi, 0).
+def r_matrices(theta, phi) -> np.ndarray:
+    """R(theta, phi) for arrays of angles, one ``2 x 2`` matrix per entry.
 
-    R(theta, 0) is a rotation about x, R(theta, pi/2) about y.
+    Rotation by ``theta`` about the Bloch axis (cos phi, sin phi, 0):
+    R(theta, 0) is a rotation about x, R(theta, pi/2) about y. Returns
+    shape ``theta.shape + (2, 2)``.
     """
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    return np.array(
-        [
-            [c, -1j * np.exp(-1j * phi) * s],
-            [-1j * np.exp(1j * phi) * s, c],
-        ],
-        dtype=np.complex128,
-    )
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    c = np.cos(theta / 2)
+    s = np.sin(theta / 2)
+    out = np.empty(theta.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1] = -1j * np.exp(-1j * phi) * s
+    out[..., 1, 0] = -1j * np.exp(1j * phi) * s
+    return out
 
 
-def xx_matrix(chi: float) -> np.ndarray:
-    """Ising coupling exp(-i chi X.X) on a qubit pair.
+def xx_matrices(chi) -> np.ndarray:
+    """Ising coupling exp(-i chi X.X) for an array of angles, one ``4 x 4``
+    matrix per entry.
 
     Diagonal cos(chi), anti-diagonal -i sin(chi). XX(pi/4) is maximally
     entangling; two XX(pi/8) on the same pair compose to XX(pi/4).
+    Returns shape ``chi.shape + (4, 4)``.
     """
-    c = math.cos(chi)
-    s = -1j * math.sin(chi)
-    return np.array(
-        [
-            [c, 0, 0, s],
-            [0, c, s, 0],
-            [0, s, c, 0],
-            [s, 0, 0, c],
-        ],
-        dtype=np.complex128,
-    )
+    chi = np.asarray(chi, dtype=np.float64)
+    out = np.zeros(chi.shape + (4, 4), dtype=np.complex128)
+    i = np.arange(4)
+    out[..., i, i] = np.cos(chi)[..., None]
+    out[..., i, 3 - i] = -1j * np.sin(chi)[..., None]
+    return out
+
+
+def r_matrix(theta: float, phi: float) -> np.ndarray:
+    """R(theta, phi) of one rotation; see :func:`r_matrices`."""
+    return r_matrices([theta], [phi])[0]
+
+
+def xx_matrix(chi: float) -> np.ndarray:
+    """XX(chi) of one coupling; see :func:`xx_matrices`."""
+    return xx_matrices([chi])[0]
 
 
 def _as_int(value, name: str) -> int:
@@ -211,17 +220,48 @@ def fuse_blocks(ops, d: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return [(s, m) for s, m in blocks] + [((q,), p) for q, p in pending.items()]
 
 
+def gate_matrices(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of every gate, built in one step per gate kind.
+
+    Returns the stack of the rotations' matrices, shape ``(m, 2, 2)``,
+    and of the couplings', shape ``(m', 4, 4)``, each in circuit order.
+    """
+    theta, phi, chi = [], [], []
+    for g in circuit.gates:
+        if isinstance(g, RotationGate):
+            theta.append(g.theta)
+            phi.append(g.phi)
+        else:
+            chi.append(g.chi)
+    return r_matrices(theta, phi), xx_matrices(chi)
+
+
+def gate_ops(circuit: Circuit, rotations, couplings) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(qubits, matrix)`` of every gate in circuit order, ready for
+    :func:`fuse_blocks`.
+
+    The i-th rotation takes ``rotations[i]`` and the i-th coupling
+    ``couplings[i]``: the stacks of :func:`gate_matrices`, or stacks
+    derived from them gate by gate.
+    """
+    rotations, couplings = iter(rotations), iter(couplings)
+    return [
+        (g.qubits, next(rotations) if isinstance(g, RotationGate) else next(couplings))
+        for g in circuit.gates
+    ]
+
+
 def evolve(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     """Apply the circuit to every row of ``amps``, shape ``(batch, 2**n)``.
 
-    The gates are first fused by :func:`fuse_blocks`, then applied one
-    block at a time.
+    The gate matrices come from :func:`gate_matrices`; the gates are
+    fused by :func:`fuse_blocks`, then applied one block at a time.
     """
     n = circuit.n_qubits
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 2**n:
         raise ValueError(f"expected amplitudes of shape (batch, {2**n}), got {amps.shape}")
-    for qubits, u in fuse_blocks([(g.qubits, g.matrix()) for g in circuit.gates], 2):
+    for qubits, u in fuse_blocks(gate_ops(circuit, *gate_matrices(circuit)), 2):
         amps = apply_gate(amps, n, qubits, u)
     return amps
 
@@ -237,7 +277,11 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2**n x 2**n unitary of the circuit."""
+    """Full 2**n x 2**n unitary of the circuit.
+
+    Built one ``run`` per column on purpose; ROADMAP item 2 records why
+    it is not yet one batched :func:`evolve`.
+    """
     dim = 2**circuit.n_qubits
     cols = []
     for k in range(dim):

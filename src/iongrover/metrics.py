@@ -7,16 +7,10 @@ import json
 
 import numpy as np
 
-from .gates import Circuit, run
+from .gates import Circuit
 from .grover import theoretical_asp
-from .statevector import (
-    all_labels,
-    basis_inputs,
-    bits_to_index,
-    init_basis,
-    marginal,
-    probabilities,
-)
+from .noise import distributions
+from .statevector import all_labels, basis_inputs, bits_to_index
 
 
 def _infer_n(distribution: np.ndarray) -> int:
@@ -75,15 +69,10 @@ def truth_table(circuit: Circuit, io_qubits: tuple[int, ...]) -> np.ndarray:
 
     Row k gives the outcome distribution over ``io_qubits`` when they
     are prepared in basis state k and every other wire starts (and is
-    discarded) in |0>.
+    discarded) in |0>. All inputs run as one batch through
+    :func:`iongrover.noise.distributions`.
     """
-    n = circuit.n_qubits
-    inputs = basis_inputs(n, io_qubits)
-    table = np.zeros((len(inputs), len(inputs)), dtype=np.float64)
-    for row, index in enumerate(inputs):
-        state = run(circuit, init_basis(n, index))
-        table[row] = marginal(probabilities(state), n, io_qubits)
-    return table
+    return distributions(circuit, None, basis_inputs(circuit.n_qubits, io_qubits), io_qubits)
 
 
 def truth_table_fidelity(table: np.ndarray, ideal: np.ndarray) -> float:

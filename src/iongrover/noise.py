@@ -6,9 +6,12 @@ probability p. Averaged over the random choice this is exactly the
 depolarizing channel rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k on the
 k gate qubits Q, with lam = 4^k p / (4^k - 1) (Nielsen & Chuang 8.3).
 :func:`channel_distributions` evolves density matrices through that
-channel and so gives exact noisy distributions; every noisy figure the
-package reports (truth tables, the probe, the CLI) comes from it, and
-trajectory counts and seeds no longer change those figures.
+channel and so gives exact noisy distributions. :func:`distributions`
+is the one routine behind every figure the package reports (truth
+tables, the probe, the CLI): it runs a batch of basis inputs through
+:func:`iongrover.gates.evolve` when the noise is None or zero and
+through the channel otherwise, then marginalizes the whole batch.
+Trajectory counts and seeds do not change those figures.
 :func:`run_noisy` is the Monte Carlo sampler of the same model, kept as
 an independent statistical check: it evolves all trajectories together
 as the rows of one ``(trajectories, 2**n)`` array, applies each sampled
@@ -18,8 +21,10 @@ engines apply gates through :func:`iongrover.statevector.apply_gate`.
 The channel treats each density matrix as one row of ``4**n`` entries,
 qubit q's row and column bits forming one 4-level site. Each gate
 becomes its superoperator on its sites, kron(U, conj U) followed by the
-depolarizer (1 - lam) 1 + (lam / 2^k) |I>><<I|, and
-:func:`iongrover.gates.fuse_blocks` fuses those into one block per
+depolarizer (1 - lam) 1 + (lam / 2^k) |I>><<I|. The superoperators are
+built as one stack per gate kind, from the stacked gate matrices of
+:func:`iongrover.gates.gate_matrices`, and
+:func:`iongrover.gates.fuse_blocks` fuses them into one block per
 coupling, the same plan the pure-state engine runs. Superoperators
 compose as linear maps, so the fusion is exact at any noise rate.
 
@@ -38,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, RotationGate, fuse_blocks
-from .statevector import StateVector, apply_gate, basis_inputs, init_basis, marginal
+from .gates import Circuit, RotationGate, evolve, fuse_blocks, gate_matrices, gate_ops
+from .statevector import StateVector, apply_gate, basis_inputs, init_basis, marginals
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -194,23 +199,34 @@ def run_noisy(
 
 
 # Broadcast indices that interleave the row and column factors of
-# kron(U, conj U) site by site: row qubit q of a k-qubit gate sits next
-# to its column qubit, so each site is one base-4 digit (2*row + col).
+# kron(U, conj U) site by site, after the leading stack axis: row qubit q
+# of a k-qubit gate sits next to its column qubit, so each site is one
+# base-4 digit (2*row + col).
 _SITE_MAJOR = {
-    1: (np.s_[:, None, :, None], np.s_[None, :, None, :]),
-    2: (np.s_[:, None, :, None, :, None, :, None], np.s_[None, :, None, :, None, :, None, :]),
+    1: (np.s_[:, :, None, :, None], np.s_[:, None, :, None, :]),
+    2: (
+        np.s_[:, :, None, :, None, :, None, :, None],
+        np.s_[:, None, :, None, :, None, :, None, :],
+    ),
 }
 # |I>> of one site, site-major: the entries with row bit = column bit.
 _VEC_I = np.array([1.0, 0.0, 0.0, 1.0])
 
 
-def _superoperator(u: np.ndarray, k: int, depolarizer: np.ndarray | None) -> np.ndarray:
-    """Site-major superoperator of the k-qubit gate ``u``: rho -> u rho u^dagger,
-    followed by ``depolarizer`` when given."""
+def _superoperators(us: np.ndarray, lam: float) -> np.ndarray:
+    """Site-major superoperators of a stack of k-qubit gates ``us``, shape
+    ``(m, 2**k, 2**k)``: rho -> u rho u^dagger, followed by the
+    depolarizer of rate ``lam`` when it is positive.
+
+    One broadcast builds kron(u, conj u) for the whole stack, and one
+    batched matrix product applies the depolarizer.
+    """
+    m, dim = us.shape[:2]
+    k = dim.bit_length() - 1
     rows, cols = _SITE_MAJOR[k]
-    t = (2,) * (2 * k)
-    s = (u.reshape(t)[rows] * u.conj().reshape(t)[cols]).reshape(4**k, 4**k)
-    return s if depolarizer is None else depolarizer @ s
+    t = (m,) + (2,) * (2 * k)
+    s = (us.reshape(t)[rows] * us.conj().reshape(t)[cols]).reshape(m, 4**k, 4**k)
+    return _depolarizer(k, lam) @ s if lam > 0.0 else s
 
 
 def _depolarizer(k: int, lam: float) -> np.ndarray:
@@ -220,6 +236,17 @@ def _depolarizer(k: int, lam: float) -> np.ndarray:
     return (1.0 - lam) * np.eye(4**k) + (lam / 2**k) * np.outer(vec_i, vec_i)
 
 
+def _basis_indices(inputs, n: int) -> list[int]:
+    """``inputs`` as a nonempty list of basis indices of ``n`` qubits."""
+    inputs = [operator.index(i) for i in inputs]
+    if not inputs:
+        raise ValueError("need at least one input")
+    for i in inputs:
+        if not 0 <= i < 2**n:
+            raise ValueError(f"input {i} out of range for {n} qubits")
+    return inputs
+
+
 def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.ndarray:
     """Exact outcome distributions under the gate noise, one row per input.
 
@@ -227,31 +254,45 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
     evolved as a 2n-qubit state: a gate U on qubits Q acts as U on Q and
     conj(U) on Q + n. After each coupling (rotation) with p_xx (p_r) > 0
     the depolarizing channel of the random-Pauli model acts on its
-    qubits. The gates run as fused superoperator blocks, one
-    :func:`iongrover.statevector.apply_gate` call per block. Returns an
-    array of shape ``(len(inputs), 2**n)``; at zero noise each row equals
-    the pure-state distribution.
+    qubits. The superoperators are built as one stack per gate kind from
+    :func:`iongrover.gates.gate_matrices`, and the gates run as fused
+    superoperator blocks, one :func:`iongrover.statevector.apply_gate`
+    call per block. Returns an array of shape ``(len(inputs), 2**n)``; at
+    zero noise each row equals the pure-state distribution.
     """
     n = circuit.n_qubits
     dim = 2**n
-    inputs = [operator.index(i) for i in inputs]
-    if not inputs:
-        raise ValueError("need at least one input")
-    for i in inputs:
-        if not 0 <= i < dim:
-            raise ValueError(f"input {i} out of range for {n} qubits")
+    inputs = _basis_indices(inputs, n)
     rho = np.zeros((len(inputs), dim * dim), dtype=np.complex128)
     rho[np.arange(len(inputs)), np.array(inputs) * (dim + 1)] = 1.0
-    lam = {1: 4 * noise.p_r / 3, 2: 16 * noise.p_xx / 15}
-    depolarizers = {k: _depolarizer(k, v) for k, v in lam.items() if v > 0.0}
-    ops = []
-    for g in circuit.gates:
-        k = len(g.qubits)
-        ops.append((g.qubits, _superoperator(g.matrix(), k, depolarizers.get(k))))
+    rotations, couplings = gate_matrices(circuit)
+    ops = gate_ops(
+        circuit,
+        _superoperators(rotations, 4 * noise.p_r / 3),
+        _superoperators(couplings, 16 * noise.p_xx / 15),
+    )
     for sites, m in fuse_blocks(ops, 4):
         rho = apply_gate(rho, 2 * n, tuple(x for q in sites for x in (q, q + n)), m)
     diag = rho.reshape(-1, dim, dim).diagonal(axis1=1, axis2=2).real
     return np.clip(diag, 0.0, None)
+
+
+def distributions(circuit: Circuit, noise: NoiseModel | None, inputs, keep) -> np.ndarray:
+    """Outcome distributions over the qubits ``keep``, one row per basis input.
+
+    The one routine behind every figure: the basis inputs run as one
+    batch, through :func:`iongrover.gates.evolve` when ``noise`` is None
+    or trivial and through :func:`channel_distributions` otherwise, and
+    the whole batch is marginalized onto ``keep`` (in the given order) at
+    once. Returns shape ``(len(inputs), 2**len(keep))``.
+    """
+    n = circuit.n_qubits
+    if noise is None or noise.trivial:
+        rows = np.eye(2**n, dtype=np.complex128)[_basis_indices(inputs, n)]
+        probs = np.abs(evolve(circuit, rows)) ** 2
+    else:
+        probs = channel_distributions(circuit, noise, inputs)
+    return marginals(probs, n, keep)
 
 
 def noisy_truth_table(
@@ -261,42 +302,33 @@ def noisy_truth_table(
     trajectories: int,
     seed: int,
 ) -> np.ndarray:
-    """Noisy analog of :func:`iongrover.metrics.truth_table`, computed
-    exactly by :func:`channel_distributions` in one batch of all inputs.
+    """Noisy analog of :func:`iongrover.metrics.truth_table`: the
+    :func:`distributions` of all inputs on ``io_qubits``, in one batch.
 
     ``trajectories`` and ``seed`` are accepted for compatibility and no
     longer change the result.
     """
-    n = circuit.n_qubits
-    dists = channel_distributions(circuit, noise, basis_inputs(n, io_qubits))
-    return np.stack([marginal(d, n, io_qubits) for d in dists])
-
-
-def _column(spam: SpamModel, true_bits: str) -> np.ndarray:
-    """Readout distribution for one true basis state."""
-    n = len(true_bits)
-    col = np.ones(1, dtype=np.float64)
-    for i, b in enumerate(true_bits):
-        if b == "1":
-            p_read1 = 1.0 - spam.eps1
-        else:
-            bright = 0
-            if i > 0 and true_bits[i - 1] == "1":
-                bright += 1
-            if i < n - 1 and true_bits[i + 1] == "1":
-                bright += 1
-            p_read1 = 1.0 - (1.0 - spam.eps0) * (1.0 - spam.crosstalk) ** bright
-        col = np.kron(col, np.array([1.0 - p_read1, p_read1]))
-    return col
+    return distributions(circuit, noise, basis_inputs(circuit.n_qubits, io_qubits), io_qubits)
 
 
 def confusion_matrix(spam: SpamModel, n_qubits: int) -> np.ndarray:
-    """Column-stochastic map from true to observed basis distributions."""
-    size = 2**n_qubits
-    m = np.zeros((size, size), dtype=np.float64)
-    for j in range(size):
-        m[:, j] = _column(spam, format(j, f"0{n_qubits}b"))
-    return m
+    """Column-stochastic map from true to observed basis distributions.
+
+    Entry (i, j) is the product over qubits of the chance that qubit q of
+    true label j reads as bit q of label i, built for all labels at once.
+    """
+    labels = np.arange(2**n_qubits)
+    bits = (labels[:, None] >> (n_qubits - 1 - np.arange(n_qubits))) & 1  # [label, qubit]
+    bright = np.zeros_like(bits)  # bright nearest neighbours in the line
+    bright[:, 1:] += bits[:, :-1]
+    bright[:, :-1] += bits[:, 1:]
+    p_read1 = np.where(
+        bits == 1,
+        1.0 - spam.eps1,
+        1.0 - (1.0 - spam.eps0) * (1.0 - spam.crosstalk) ** bright,
+    )
+    factors = np.where(bits[:, None, :] == 1, p_read1[None], 1.0 - p_read1[None])
+    return factors.prod(axis=2)
 
 
 def apply_spam(distribution: np.ndarray, spam: SpamModel) -> np.ndarray:

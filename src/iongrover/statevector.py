@@ -157,43 +157,57 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amps) ** 2
 
 
-def marginal(probs: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Marginal distribution over ``keep`` (in the given order).
+def marginals(probs: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Marginal distribution over ``keep`` (in the given order) of every row.
 
-    ``probs`` is a length ``2**n_qubits`` distribution; the remaining
-    qubits are summed out.
+    ``probs`` has shape ``(batch, 2**n_qubits)``; the remaining qubits are
+    summed out of the whole batch in one reshape and sum. Returns shape
+    ``(batch, 2**len(keep))``.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (2**n_qubits,):
-        raise ValueError(f"expected {2**n_qubits} probabilities")
+    if probs.ndim != 2 or probs.shape[1] != 2**n_qubits:
+        raise ValueError(f"expected probabilities of shape (batch, {2**n_qubits})")
     if len(set(keep)) != len(keep):
         raise ValueError(f"duplicate qubits in keep={keep}")
     for q in keep:
         if not 0 <= q < n_qubits:
             raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
-    drop = tuple(q for q in range(n_qubits) if q not in keep)
-    grid = probs.reshape([2] * n_qubits)
+    drop = tuple(q + 1 for q in range(n_qubits) if q not in keep)
+    grid = probs.reshape([-1] + [2] * n_qubits)
     if drop:
         grid = grid.sum(axis=drop)
-    # Axes of grid now correspond to the kept qubits in ascending order;
-    # reorder them to match the requested ordering.
+    # Axes of grid after the batch axis now correspond to the kept qubits
+    # in ascending order; reorder them to match the requested ordering.
     kept_sorted = sorted(keep)
-    perm = [kept_sorted.index(q) for q in keep]
-    return np.transpose(grid, axes=perm).reshape(-1)
+    perm = [0] + [kept_sorted.index(q) + 1 for q in keep]
+    return np.transpose(grid, axes=perm).reshape(len(probs), -1)
+
+
+def marginal(probs: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Marginal distribution over ``keep`` (in the given order) of one
+    length ``2**n_qubits`` distribution: :func:`marginals` of one row."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.shape != (2**n_qubits,):
+        raise ValueError(f"expected {2**n_qubits} probabilities")
+    return marginals(probs[None], n_qubits, keep)[0]
 
 
 def sample_counts(distribution: np.ndarray, shots: int, seed) -> np.ndarray:
     """Sample measurement counts for ``shots`` draws from ``distribution``.
 
-    The distribution is renormalized to sum 1 first. ``seed`` is anything
-    ``np.random.default_rng`` accepts (an integer, or a tuple of them for
-    a separate stream), and fixes the counts. Returns integer counts per
-    entry, summing to ``shots``.
+    The distribution is renormalized and rounded to a grid of 2**-40
+    first, so entries that are equal up to rounding are drawn as exactly
+    equal: numpy's multinomial divides by running remainders, and a 1-ulp
+    change in a probability could otherwise change the counts. ``seed``
+    is anything ``np.random.default_rng`` accepts (an integer, or a tuple
+    of them for a separate stream), and fixes the counts. Returns integer
+    counts per entry, summing to ``shots``.
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
     p = np.asarray(distribution, dtype=np.float64)
-    return np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    q = np.rint(p / p.sum() * 2**40)
+    return np.random.default_rng(seed).multinomial(shots, q / q.sum())
 
 
 def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:

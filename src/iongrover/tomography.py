@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .decompositions import PI, _ry
-from .gates import Circuit, concat, evolve
-from .noise import NoiseModel, channel_distributions
+from .gates import Circuit, concat
+from .noise import NoiseModel, distributions
 
 PLUS_ROTATION_INPUTS = ("000", "010", "100", "110")
 
@@ -40,10 +40,9 @@ def limited_tomography(
 ) -> np.ndarray:
     """Probe table: rows are basis inputs, columns outcome probabilities.
 
-    Each probe-rotation sign runs as one batch of its four inputs:
-    through :func:`iongrover.gates.evolve` without noise, through
-    :func:`iongrover.noise.channel_distributions` under gate noise, so
-    the rows are exact either way. ``trajectories`` and ``seed`` are
+    Each probe-rotation sign runs as one batch of its four inputs
+    through :func:`iongrover.noise.distributions`, so the rows are exact
+    with or without gate noise. ``trajectories`` and ``seed`` are
     accepted for compatibility and no longer change the result.
     """
     if circuit.n_qubits != 3:
@@ -55,10 +54,7 @@ def limited_tomography(
     minus = [k for k in range(8) if k not in plus]
     for inputs in (plus, minus):
         full = probed_circuit(circuit, format(inputs[0], "03b"))
-        if noise is None or noise.trivial:
-            table[inputs] = np.abs(evolve(full, np.eye(8)[inputs])) ** 2
-        else:
-            table[inputs] = channel_distributions(full, noise, inputs)
+        table[inputs] = distributions(full, noise, inputs, (0, 1, 2))
     return table
 
 

@@ -291,3 +291,22 @@ def test_failed_write_into_a_new_directory_leaves_no_directory(tmp_path, monkeyp
     assert main(["costs", "--out", str(out)]) == 1
     assert "No space left" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_calls_in_a_row_share_no_parser_state(tmp_path):
+    """``main`` keeps its parser between calls; repeated flags of one call
+    must not leak into the next."""
+    def rows(argv, name):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        return read_results(tmp_path / name)["rows"]
+
+    grover = ["grover", "--style", "phase"]
+    assert [r["marked"] for r in rows(grover + ["--marked", "011", "--marked", "101"], "a")] == [
+        "011+101"
+    ]
+    assert [r["marked"] for r in rows(grover + ["--marked", "110"], "b")] == ["110"]
+    gates = [r["name"] for r in rows(["gate-table", "--gate", "cnot", "--gate", "toffoli3"], "c")]
+    assert gates == ["cnot", "toffoli3"]
+    assert [r["name"] for r in rows(["gate-table", "--gate", "cz"], "d")] == ["cz"]
+    everything = [r["name"] for r in rows(["gate-table"], "e")]
+    assert len(everything) > 2 and "cnot" in everything and "cz" in everything

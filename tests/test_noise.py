@@ -254,3 +254,25 @@ def test_fitted_rate_is_tied_to_the_reference_fidelity():
     there, so a change to the constant or the channel shows up here."""
     table = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 1, 0)
     assert abs(truth_table_fidelity(table, TOFFOLI_PERM) - 0.896) < 0.001
+
+
+def _confusion_column(spam, bits):
+    """Readout distribution of one true label, one qubit at a time: a 1
+    reads 1 with 1 - eps1; a 0 reads 1 with 1 - (1 - eps0)(1 - crosstalk)^b,
+    b its bright nearest neighbours in the line."""
+    col = np.ones(1)
+    for i, b in enumerate(bits):
+        if b == "1":
+            p_read1 = 1.0 - spam.eps1
+        else:
+            bright = sum(0 <= j < len(bits) and bits[j] == "1" for j in (i - 1, i + 1))
+            p_read1 = 1.0 - (1.0 - spam.eps0) * (1.0 - spam.crosstalk) ** bright
+        col = np.kron(col, [1.0 - p_read1, p_read1])
+    return col
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_confusion_matrix_matches_the_per_column_formula(n):
+    spam = SpamModel(eps0=0.012, eps1=0.025, crosstalk=0.04)
+    want = np.stack([_confusion_column(spam, format(j, f"0{n}b")) for j in range(2**n)], axis=1)
+    assert np.max(np.abs(confusion_matrix(spam, n) - want)) <= 1e-15

@@ -20,11 +20,20 @@ from iongrover.gates import (
     circuit_unitary,
     evolve,
     fuse_blocks,
+    gate_matrices,
     run,
 )
 from iongrover.grover import GroverConfig, OracleSpec, grover_circuit
-from iongrover.noise import NoiseModel, channel_distributions
-from iongrover.statevector import MAX_QUBITS, all_labels, apply_gate, init_basis
+from iongrover.noise import NoiseModel, channel_distributions, distributions
+from iongrover.statevector import (
+    MAX_QUBITS,
+    all_labels,
+    apply_gate,
+    init_basis,
+    marginal,
+    marginals,
+    probabilities,
+)
 
 _ANGLE = st.floats(-np.pi, np.pi, allow_nan=False)
 _RATE = st.one_of(st.just(0.0), st.floats(0.0, 0.3))
@@ -185,3 +194,54 @@ def test_circuit_unitary_matches_per_column_run_for_every_sign_map(name):
         assert np.array_equal(u, columns)
         unfused = unfused_evolve(circuit, np.eye(2**n, dtype=np.complex128)).T
         assert np.max(np.abs(u - unfused)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits(max_gates=24), st.data())
+def test_engines_agree_on_every_input_and_kept_register(circuit, data):
+    """The one ``distributions`` routine without noise, the channel at
+    p = 0 and a per-input ``run`` with ``marginal`` give the same rows."""
+    n = circuit.n_qubits
+    inputs = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=2**n))
+    keep = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+    got = distributions(circuit, None, inputs, keep)
+    assert got.shape == (len(inputs), 2 ** len(keep))
+    channel = marginals(channel_distributions(circuit, NoiseModel(), inputs), n, keep)
+    per_input = [marginal(probabilities(run(circuit, init_basis(n, i))), n, keep) for i in inputs]
+    assert np.max(np.abs(got - channel)) < 1e-12
+    assert np.max(np.abs(got - np.array(per_input))) < 1e-12
+    assert np.array_equal(distributions(circuit, NoiseModel(), inputs, keep), got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, MAX_QUBITS), st.integers(1, 5), st.data())
+def test_batched_marginal_equals_marginal_row_by_row(n, batch, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random((batch, 2**n))
+    keep = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+    rows = np.array([marginal(p, n, keep) for p in probs])
+    assert np.max(np.abs(marginals(probs, n, keep) - rows)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits())
+def test_gate_matrices_match_the_closed_forms(circuit):
+    """R(theta, phi) = cos(theta/2) I - i sin(theta/2) (cos phi X + sin phi Y)
+    and XX(chi) = cos(chi) I - i sin(chi) X.X, gate by gate."""
+    eye, x, y = _PAULIS[:3]
+    want_r, want_xx = [], []
+    for g in circuit.gates:
+        if isinstance(g, RotationGate):
+            axis = np.cos(g.phi) * x + np.sin(g.phi) * y
+            want_r.append(np.cos(g.theta / 2) * eye - 1j * np.sin(g.theta / 2) * axis)
+        else:
+            want_xx.append(np.cos(g.chi) * np.eye(4) - 1j * np.sin(g.chi) * np.kron(x, x))
+    rotations, couplings = gate_matrices(circuit)
+    assert rotations.shape == (len(want_r), 2, 2) and couplings.shape == (len(want_xx), 4, 4)
+    assert np.max(np.abs(rotations - np.reshape(want_r, (-1, 2, 2))), initial=0) <= 1e-15
+    assert np.max(np.abs(couplings - np.reshape(want_xx, (-1, 4, 4))), initial=0) <= 1e-15
+    # The one-gate matrices are the same formulas on a batch of one.
+    for g, m in zip([g for g in circuit.gates if isinstance(g, RotationGate)], rotations):
+        assert np.max(np.abs(g.matrix() - m)) <= 1e-15
+    for g, m in zip([g for g in circuit.gates if isinstance(g, XXGate)], couplings):
+        assert np.max(np.abs(g.matrix() - m)) <= 1e-15

@@ -190,3 +190,19 @@ def test_sample_counts_keeps_the_seed_streams_of_both_callers():
     assert sample_counts(p, 300, 5).sum() == 300
     with pytest.raises(ValueError):
         sample_counts(p, -1, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 64), st.integers(1, 10_000), st.integers(0, 2**32 - 1))
+def test_sample_counts_do_not_hang_on_the_last_bit(size, shots, seed):
+    """Counts for p and for p moved by one ulp up or down per entry are
+    equal. The last two outcomes are tied and one earlier entry is 0, the
+    case where the multinomial's running remainder lands near 1/2."""
+    rng = np.random.default_rng(seed)
+    p = rng.random(size)
+    p[-1] = p[-2]
+    p[rng.integers(size - 2)] = 0.0
+    p /= p.sum()
+    moved = np.nextafter(p, np.where(rng.random(size) < 0.5, -np.inf, np.inf))
+    moved[p == 0.0] = 0.0
+    assert np.array_equal(sample_counts(p, shots, seed), sample_counts(moved, shots, seed))
