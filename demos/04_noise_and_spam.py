@@ -12,17 +12,14 @@ from iongrover import (
     OracleSpec,
     SpamModel,
     apply_spam,
-    channel_distributions,
     classical_asp,
     correct_spam,
     confusion_matrix,
     enumerate_oracles,
-    grover_circuit,
-    marginal,
-    noisy_truth_table,
     run_grover,
     run_noisy,
     toffoli3_template,
+    truth_table,
     truth_table_fidelity,
 )
 from iongrover.decompositions import toffoli3_unitary
@@ -37,7 +34,7 @@ np.set_printoptions(precision=4, suppress=True)
 # five-coupling doubly-controlled NOT.
 noise = NoiseModel(p_xx=FITTED_P_XX)
 toffoli = toffoli3_template(0, 1, 2)
-table = noisy_truth_table(toffoli, (0, 1, 2), noise, trajectories=1, seed=0)
+table = truth_table(toffoli, (0, 1, 2), noise)
 fid = truth_table_fidelity(table, permutation_of(toffoli3_unitary()))
 print(f"toffoli3 at p_xx={FITTED_P_XX}: truth-table fidelity {fid:.4f}")
 
@@ -55,10 +52,8 @@ for t in (1, 2):
     for style in ("phase", "boolean"):
         vals = []
         for marked in enumerate_oracles(3, t):
-            circ = grover_circuit(GroverConfig(OracleSpec(3, marked, style)))
-            dist = marginal(channel_distributions(circ, noise, [0])[0],
-                            circ.n_qubits, (0, 1, 2))
-            vals.append(asp(dist, marked))
+            res = run_grover(GroverConfig(OracleSpec(3, marked, style)), noise=noise)
+            vals.append(asp(res.distribution, marked))
         row.append(f"{style} {np.mean(vals):.3f}")
     row.append(f"classical {classical_asp(8, t):.3f}")
     print("mean success: " + ", ".join(row))

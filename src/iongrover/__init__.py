@@ -74,7 +74,6 @@ from .noise import (
     correct_spam,
     distributions,
     load_noise_config,
-    noisy_truth_table,
     run_noisy,
 )
 from .statevector import (

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .decompositions import GATE_TEMPLATES, cz_template, toffoli_n_cost
@@ -32,7 +32,7 @@ from .grover import (
     STYLES,
     classical_asp,
     enumerate_oracles,
-    grover_circuit,
+    run_grover,
     theoretical_asp,
 )
 from .metrics import (
@@ -40,17 +40,11 @@ from .metrics import (
     expected_grover_distribution,
     permutation_of,
     sso,
+    truth_table,
     truth_table_fidelity,
 )
-from .noise import (
-    NoiseConfig,
-    NoiseModel,
-    SpamModel,
-    apply_spam,
-    distributions,
-    load_noise_config,
-)
-from .statevector import all_labels, basis_inputs, sample_counts
+from .noise import NoiseConfig, NoiseModel, SpamModel, apply_spam, load_noise_config
+from .statevector import all_labels, sample_counts
 from .tomography import limited_tomography, tomography_success
 
 _NO_NOISE = NoiseConfig(NoiseModel(), SpamModel())
@@ -101,12 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_configs(args) -> NoiseConfig:
     cfg = load_noise_config(args.noise) if args.noise else _NO_NOISE
     if getattr(args, "spam", None):
-        spam_cfg = load_noise_config(args.spam)
-        cfg = NoiseConfig(cfg.noise, spam_cfg.spam, cfg.trajectories, cfg.seed)
+        cfg = replace(cfg, spam=load_noise_config(args.spam).spam)
     if args.seed is not None:
         if args.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
-        cfg = NoiseConfig(cfg.noise, cfg.spam, cfg.trajectories, args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -146,23 +139,28 @@ def _write_outputs(out_dir: str, files: dict[str, str]):
         raise
 
 
-def _results_json(command: str, cfg: NoiseConfig, rows: list[dict]) -> str:
+def _csv(header: list[str], rows: list[list]) -> str:
+    cells = [header] + [[repr(float(c)) if isinstance(c, float) else str(c) for c in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in cells)
+
+
+def _files(args, cfg: NoiseConfig, rows: list[dict], columns: list[str], long=None):
+    """Output files of a command: ``results.json`` always; under
+    ``--format csv`` also ``results.csv`` with ``columns`` of every row
+    and, if ``long`` is given as ``(file name, header, expand)``, a long
+    table of the rows ``expand(row)`` yields for every row."""
     doc = {
-        "meta": {"command": command, "seed": cfg.seed, "version": __version__},
+        "meta": {"command": args.command, "seed": cfg.seed, "version": __version__},
         "rows": rows,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(
-            ",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
-            + "\n"
-        )
-    return out.getvalue()
+    files = {"results.json": json.dumps(doc, indent=2, sort_keys=True) + "\n"}
+    if args.format == "csv":
+        files["results.csv"] = _csv(columns, [[r[c] for c in columns] for r in rows])
+        if long is not None:
+            name, header, expand = long
+            files[name] = _csv(header, [line for r in rows for line in expand(r)])
+    return files
 
 
 def cmd_gate_table(args) -> dict[str, str]:
@@ -176,38 +174,27 @@ def cmd_gate_table(args) -> dict[str, str]:
             )
         tmpl = GATE_TEMPLATES[name]
         circuit = tmpl.build(None)
-        perm = permutation_of(tmpl.ideal)
-        inputs = basis_inputs(circuit.n_qubits, tmpl.io_qubits)
-        table = distributions(circuit, cfg.noise, inputs, tmpl.io_qubits)
-        rows.append(
-            {
-                "name": name,
-                "n_qubits": circuit.n_qubits,
-                "xx_count": xx_count(circuit),
-                "rotation_count": len(circuit.gates) - xx_count(circuit),
-                "truth_table_fidelity": truth_table_fidelity(table, perm),
-            }
-        )
-    files = {"results.json": _results_json("gate-table", cfg, rows)}
-    if args.format == "csv":
-        header = ["name", "n_qubits", "xx_count", "rotation_count", "truth_table_fidelity"]
-        files["results.csv"] = _csv(header, [[r[h] for h in header] for r in rows])
-    return files
+        table = truth_table(circuit, tmpl.io_qubits, cfg.noise)
+        fidelity = truth_table_fidelity(table, permutation_of(tmpl.ideal))
+        xx = xx_count(circuit)
+        rows.append({"name": name, "n_qubits": circuit.n_qubits, "xx_count": xx,
+                     "rotation_count": len(circuit.gates) - xx, "truth_table_fidelity": fidelity})
+    return _files(args, cfg, rows,
+                  ["name", "n_qubits", "xx_count", "rotation_count", "truth_table_fidelity"])
 
 
-def _one_grover(job):
-    spec, iterations, cfg, shots, job_seed = job
-    circuit = grover_circuit(GroverConfig(spec, iterations))
-    n = spec.n_qubits
-    dist = distributions(circuit, cfg.noise, [0], tuple(range(n)))[0]
+def _one_grover(spec: OracleSpec, iterations: int, cfg: NoiseConfig, shots, job_seed):
+    res = run_grover(GroverConfig(spec, iterations), noise=cfg.noise)
+    dist = res.distribution
     if not cfg.spam.trivial:
         dist = apply_spam(dist, cfg.spam)
+    n = spec.n_qubits
     expected = expected_grover_distribution(n, spec.marked, iterations)
     row = {
         "marked": "+".join(spec.marked),
         "style": spec.style,
         "n_qubits": n,
-        "xx_count": xx_count(circuit),
+        "xx_count": res.xx_count,
         "asp": asp(dist, spec.marked),
         "asp_ideal": theoretical_asp(2**n, len(spec.marked), iterations),
         "asp_classical": classical_asp(2**n, len(spec.marked)),
@@ -225,68 +212,41 @@ def cmd_grover(args) -> dict[str, str]:
         raise ValueError("give either --marked labels or --all, not both")
     if args.shots is not None and args.shots < 1:
         raise ValueError(f"shots must be >= 1, got {args.shots}")
-    if args.all:
-        marked_sets = enumerate_oracles(args.n, args.t)
-    else:
-        marked_sets = [tuple(args.marked)]
-    jobs = []
-    for idx, marked in enumerate(marked_sets):
-        spec = OracleSpec(args.n, marked, args.style)
-        job_seed = cfg.seed * 100003 + idx
-        jobs.append((spec, args.iterations, cfg, args.shots, job_seed))
-    rows = [_one_grover(job) for job in jobs]
-    files = {"results.json": _results_json("grover", cfg, rows)}
-    if args.format == "csv":
-        header = ["marked", "style", "n_qubits", "xx_count", "asp", "asp_ideal",
-                  "asp_classical", "sso"]
-        files["results.csv"] = _csv(header, [[r[h] for h in header] for r in rows])
-        labels = all_labels(args.n)
-        long_rows = []
-        for r in rows:
-            for label, p in zip(labels, r["distribution"]):
-                long_rows.append([r["marked"], r["style"], label, p])
-        files["distributions.csv"] = _csv(
-            ["marked", "style", "label", "probability"], long_rows
-        )
-    return files
+    marked_sets = enumerate_oracles(args.n, args.t) if args.all else [tuple(args.marked)]
+    rows = [
+        _one_grover(OracleSpec(args.n, marked, args.style), args.iterations, cfg, args.shots,
+                    cfg.seed * 100003 + idx)
+        for idx, marked in enumerate(marked_sets)
+    ]
+    labels = all_labels(args.n)
+
+    def by_label(r):
+        return ([r["marked"], r["style"], label, p] for label, p in zip(labels, r["distribution"]))
+
+    return _files(args, cfg, rows,
+                  ["marked", "style", "n_qubits", "xx_count", "asp", "asp_ideal",
+                   "asp_classical", "sso"],
+                  ("distributions.csv", ["marked", "style", "label", "probability"], by_label))
 
 
 def cmd_tomography(args) -> dict[str, str]:
     cfg = _load_configs(args)
+    # Validated for old scripts; the probe is exact, so it is used nowhere.
     if args.trajectories is not None and args.trajectories < 1:
         raise ValueError(f"trajectories must be a positive integer, got {args.trajectories}")
-    trajectories = args.trajectories or cfg.trajectories
     ideal = GATE_TEMPLATES["toffoli3"].build(None)
-    variants = {
-        "toffoli3": ideal,
-        "toffoli3+cz": concat(ideal, cz_template(0, 1)),
-    }
     rows = []
-    for name, circuit in variants.items():
-        table = limited_tomography(circuit, cfg.noise, trajectories, cfg.seed)
-        rows.append(
-            {
-                "variant": name,
-                "success": tomography_success(table),
-                "table": [[float(p) for p in row] for row in table],
-            }
-        )
-    files = {"results.json": _results_json("tomography", cfg, rows)}
-    if args.format == "csv":
-        files["results.csv"] = _csv(
-            ["variant", "success"], [[r["variant"], r["success"]] for r in rows]
-        )
-        long_rows = []
-        for r in rows:
-            for i, row in enumerate(r["table"]):
-                for j, p in enumerate(row):
-                    long_rows.append(
-                        [r["variant"], format(i, "03b"), format(j, "03b"), p]
-                    )
-        files["tomography.csv"] = _csv(
-            ["variant", "input", "output", "probability"], long_rows
-        )
-    return files
+    for name, circuit in (("toffoli3", ideal), ("toffoli3+cz", concat(ideal, cz_template(0, 1)))):
+        table = limited_tomography(circuit, cfg.noise)
+        rows.append({"variant": name, "success": tomography_success(table),
+                     "table": [[float(p) for p in row] for row in table]})
+
+    def by_entry(r):
+        return ([r["variant"], format(i, "03b"), format(j, "03b"), p]
+                for i, row in enumerate(r["table"]) for j, p in enumerate(row))
+
+    return _files(args, cfg, rows, ["variant", "success"],
+                  ("tomography.csv", ["variant", "input", "output", "probability"], by_entry))
 
 
 def cmd_costs(args) -> dict[str, str]:
@@ -298,18 +258,8 @@ def cmd_costs(args) -> dict[str, str]:
     rows = []
     for n in range(args.min, args.max + 1):
         report = toffoli_n_cost(n)
-        rows.append(
-            {
-                "n": n,
-                "xx_count": report.xx_count,
-                "ancilla_count": report.ancilla_count,
-            }
-        )
-    files = {"results.json": _results_json("costs", cfg, rows)}
-    if args.format == "csv":
-        header = ["n", "xx_count", "ancilla_count"]
-        files["results.csv"] = _csv(header, [[r[h] for h in header] for r in rows])
-    return files
+        rows.append({"n": n, "xx_count": report.xx_count, "ancilla_count": report.ancilla_count})
+    return _files(args, cfg, rows, ["n", "xx_count", "ancilla_count"])
 
 
 _COMMANDS = {

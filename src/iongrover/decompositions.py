@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gates import Circuit, Gate, RotationGate, XXGate, circuit_unitary, concat, xx_count
+from .gates import Circuit, Gate, RotationGate, XXGate, concat, xx_count
 
 PI = math.pi
 

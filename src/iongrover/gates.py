@@ -339,6 +339,13 @@ def _json_field(entry: dict, key: str, where: str, kinds: tuple[type, ...]):
     if isinstance(value, bool) or not isinstance(value, kinds):
         what = "an integer" if kinds == (int,) else "a number"
         raise ValueError(f"malformed circuit JSON: {where} {key} must be {what}, got {value!r}")
+    if float in kinds:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(
+                f"malformed circuit JSON: {where} {key} is an integer too large for a float"
+            ) from None
     return value
 
 

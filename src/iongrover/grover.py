@@ -38,8 +38,9 @@ from .decompositions import (
     toffoli4_template,
     x_template,
 )
-from .gates import Circuit, Gate, RotationGate, _as_int, concat, run, xx_count
-from .statevector import all_labels, bits_to_index, init_basis, marginal, probabilities
+from .gates import Circuit, Gate, RotationGate, _as_int, concat, xx_count
+from .noise import NoiseModel, distributions
+from .statevector import all_labels, bits_to_index
 
 MAX_DATA_QUBITS = 3
 
@@ -169,23 +170,18 @@ def _conjugate_zeros(label: str, qubits: tuple[int, ...], inner: Circuit) -> Cir
     return concat(*flips, inner, *flips)
 
 
-def _phase_per_label(n: int, marked: tuple[str, ...], sgn_map: SgnMap | None) -> Circuit:
-    parts = []
-    for label in marked:
-        inner = _controlled_z_any(tuple(range(n)), sgn_map)
-        parts.append(_conjugate_zeros(label, tuple(range(n)), inner))
-    return concat(*parts)
+def _per_label(n: int, marked: tuple[str, ...], mark) -> Circuit:
+    """Per-label form: ``mark(qubits)``, the style's marking gate controlled
+    on the data register, X-conjugated onto each marked label in turn."""
+    qubits = tuple(range(n))
+    return concat(*(_conjugate_zeros(label, qubits, mark(qubits)) for label in marked))
 
 
-def _phase_parity(n: int, marked: tuple[str, ...], sgn_map: SgnMap | None) -> Circuit:
-    parts = []
-    for qubits in _parity_monomials(n, marked):
-        if not qubits:
-            continue  # constant term is a global phase
-        parts.append(_controlled_z_any(qubits, sgn_map))
-    if not parts:
-        return Circuit(n, ())
-    return concat(*parts)
+def _parity(width: int, n: int, marked: tuple[str, ...], mark) -> Circuit:
+    """Parity form on ``width`` qubits: one ``mark`` per XOR monomial, or
+    none where ``mark`` returns None (the phase style's constant term)."""
+    parts = [c for c in map(mark, _parity_monomials(n, marked)) if c is not None]
+    return concat(*parts) if parts else Circuit(width, ())
 
 
 def phase_oracle(
@@ -197,23 +193,15 @@ def phase_oracle(
     marked state) and the parity form and returns the cheaper one.
     """
     spec = OracleSpec(n_qubits, tuple(marked), "phase")
-    candidates = [
-        _phase_per_label(spec.n_qubits, spec.marked, sgn_map),
-        _phase_parity(spec.n_qubits, spec.marked, sgn_map),
-    ]
+    n, marked = spec.n_qubits, spec.marked
+
+    def mark(qubits):
+        return _controlled_z_any(qubits, sgn_map) if qubits else None
+
+    candidates = [_per_label(n, marked, mark), _parity(n, n, marked, mark)]
     # Pad so the circuit always spans the whole data register, even
     # when the cheapest form touches only some qubits.
-    return concat(Circuit(spec.n_qubits, ()), min(candidates, key=xx_count))
-
-
-def _boolean_per_label(
-    n: int, marked: tuple[str, ...], ancilla: int, borrow: int, sgn_map: SgnMap | None
-) -> Circuit:
-    parts = []
-    for label in marked:
-        inner = _controlled_not_any(tuple(range(n)), ancilla, borrow, sgn_map)
-        parts.append(_conjugate_zeros(label, tuple(range(n)), inner))
-    return concat(*parts)
+    return concat(Circuit(n, ()), min(candidates, key=xx_count))
 
 
 def _boolean_pair(
@@ -238,17 +226,6 @@ def _boolean_pair(
     return concat(*basis_change, marked_block, *reversed(basis_change))
 
 
-def _boolean_parity(
-    n: int, marked: tuple[str, ...], ancilla: int, borrow: int, sgn_map: SgnMap | None
-) -> Circuit:
-    parts = []
-    for qubits in _parity_monomials(n, marked):
-        parts.append(_controlled_not_any(qubits, ancilla, borrow, sgn_map))
-    if not parts:
-        return Circuit(ancilla + 1, ())
-    return concat(*parts)
-
-
 def boolean_oracle(
     n_qubits: int, marked: tuple[str, ...], sgn_map: SgnMap | None = None
 ) -> Circuit:
@@ -261,11 +238,15 @@ def boolean_oracle(
     spec = OracleSpec(n_qubits, tuple(marked), "boolean")
     n, marked = spec.n_qubits, spec.marked
     ancilla = n
-    borrow = n + 1
-    candidates = [_boolean_per_label(n, marked, ancilla, borrow, sgn_map)]
+
+    def mark(qubits):
+        return _controlled_not_any(qubits, ancilla, ancilla + 1, sgn_map)
+
+    # Equally cheap forms keep this order: min returns the first.
+    candidates = [_per_label(n, marked, mark)]
     if len(marked) == 2:
         candidates.append(_boolean_pair(n, marked, ancilla, sgn_map))
-    candidates.append(_boolean_parity(n, marked, ancilla, borrow, sgn_map))
+    candidates.append(_parity(ancilla + 1, n, marked, mark))
     return concat(Circuit(ancilla + 1, ()), min(candidates, key=xx_count))
 
 
@@ -319,13 +300,13 @@ def grover_circuit(config: GroverConfig, sgn_map: SgnMap | None = None) -> Circu
     return concat(*parts)
 
 
-def run_grover(config: GroverConfig, sgn_map: SgnMap | None = None) -> GroverResult:
-    """Simulate noiselessly and marginalize onto the data register."""
+def run_grover(
+    config: GroverConfig, sgn_map: SgnMap | None = None, noise: NoiseModel | None = None
+) -> GroverResult:
+    """Simulate from all zeros, exactly or under the gate ``noise``, and
+    marginalize onto the data register."""
     circuit = grover_circuit(config, sgn_map)
-    state = run(circuit)
-    dist = marginal(
-        probabilities(state), circuit.n_qubits, tuple(range(config.oracle.n_qubits))
-    )
+    dist = distributions(circuit, noise, [0], tuple(range(config.oracle.n_qubits)))[0]
     return GroverResult(dist, xx_count(circuit), circuit.n_qubits, circuit)
 
 

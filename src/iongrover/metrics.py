@@ -9,7 +9,7 @@ import numpy as np
 
 from .gates import Circuit
 from .grover import theoretical_asp
-from .noise import distributions
+from .noise import NoiseModel, distributions
 from .statevector import all_labels, basis_inputs, bits_to_index
 
 
@@ -64,15 +64,17 @@ def expected_grover_distribution(
     return dist
 
 
-def truth_table(circuit: Circuit, io_qubits: tuple[int, ...]) -> np.ndarray:
-    """Classical input/output behavior of a circuit.
+def truth_table(
+    circuit: Circuit, io_qubits: tuple[int, ...], noise: NoiseModel | None = None
+) -> np.ndarray:
+    """Classical input/output behavior of a circuit, exact or under ``noise``.
 
     Row k gives the outcome distribution over ``io_qubits`` when they
     are prepared in basis state k and every other wire starts (and is
     discarded) in |0>. All inputs run as one batch through
     :func:`iongrover.noise.distributions`.
     """
-    return distributions(circuit, None, basis_inputs(circuit.n_qubits, io_qubits), io_qubits)
+    return distributions(circuit, noise, basis_inputs(circuit.n_qubits, io_qubits), io_qubits)
 
 
 def truth_table_fidelity(table: np.ndarray, ideal: np.ndarray) -> float:

@@ -7,11 +7,11 @@ depolarizing channel rho -> (1 - lam) rho + lam Tr_Q(rho) x I/2^k on the
 k gate qubits Q, with lam = 4^k p / (4^k - 1) (Nielsen & Chuang 8.3).
 :func:`channel_distributions` evolves density matrices through that
 channel and so gives exact noisy distributions. :func:`distributions`
-is the one routine behind every figure the package reports (truth
-tables, the probe, the CLI): it runs a batch of basis inputs through
+is the one routine behind the three figures (``metrics.truth_table``,
+``grover.run_grover``, ``tomography.limited_tomography``, each taking
+the noise): it runs a batch of basis inputs through
 :func:`iongrover.gates.evolve` when the noise is None or zero and
 through the channel otherwise, then marginalizes the whole batch.
-Trajectory counts and seeds do not change those figures.
 :func:`run_noisy` is the Monte Carlo sampler of the same model, kept as
 an independent statistical check: it evolves all trajectories together
 as the rows of one ``(trajectories, 2**n)`` array, applies each sampled
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import Circuit, RotationGate, evolve, fuse_blocks, gate_matrices, gate_ops
-from .statevector import StateVector, apply_gate, basis_inputs, init_basis, marginals
+from .statevector import StateVector, apply_gate, init_basis, marginals
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -105,8 +105,9 @@ class SpamModel:
 class NoiseConfig:
     """Bundle of gate noise, SPAM, and sampling controls, as read from disk.
 
-    ``trajectories`` only sizes :func:`run_noisy`; the package's own noisy
-    figures are exact and ignore it.
+    ``trajectories`` is read and validated for configs written for
+    :func:`run_noisy`; the package's own noisy figures are exact and
+    nothing in it reads the value.
     """
 
     noise: NoiseModel
@@ -122,7 +123,12 @@ def _number(data: dict, name: str) -> float:
     value = data.get(name, 0.0)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be a number, got an integer too large for a float"
+        ) from None
 
 
 def _count(data: dict, name: str, default: int, least: int, what: str) -> int:
@@ -293,22 +299,6 @@ def distributions(circuit: Circuit, noise: NoiseModel | None, inputs, keep) -> n
     else:
         probs = channel_distributions(circuit, noise, inputs)
     return marginals(probs, n, keep)
-
-
-def noisy_truth_table(
-    circuit: Circuit,
-    io_qubits: tuple[int, ...],
-    noise: NoiseModel,
-    trajectories: int,
-    seed: int,
-) -> np.ndarray:
-    """Noisy analog of :func:`iongrover.metrics.truth_table`: the
-    :func:`distributions` of all inputs on ``io_qubits``, in one batch.
-
-    ``trajectories`` and ``seed`` are accepted for compatibility and no
-    longer change the result.
-    """
-    return distributions(circuit, noise, basis_inputs(circuit.n_qubits, io_qubits), io_qubits)
 
 
 def confusion_matrix(spam: SpamModel, n_qubits: int) -> np.ndarray:

@@ -32,18 +32,12 @@ def probed_circuit(circuit: Circuit, input_label: str) -> Circuit:
     return concat(rot, circuit, rot)
 
 
-def limited_tomography(
-    circuit: Circuit,
-    noise: NoiseModel | None = None,
-    trajectories: int = 1,
-    seed: int = 0,
-) -> np.ndarray:
+def limited_tomography(circuit: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
     """Probe table: rows are basis inputs, columns outcome probabilities.
 
     Each probe-rotation sign runs as one batch of its four inputs
     through :func:`iongrover.noise.distributions`, so the rows are exact
-    with or without gate noise. ``trajectories`` and ``seed`` are
-    accepted for compatibility and no longer change the result.
+    with or without gate noise.
     """
     if circuit.n_qubits != 3:
         raise ValueError(

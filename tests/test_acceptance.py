@@ -36,14 +36,13 @@ from iongrover.grover import (
     grover_circuit,
     run_grover,
 )
-from iongrover.metrics import asp, permutation_of, truth_table_fidelity
+from iongrover.metrics import asp, permutation_of, truth_table, truth_table_fidelity
 from iongrover.noise import (
     FITTED_P_XX,
     NoiseModel,
     SpamModel,
     apply_spam,
     correct_spam,
-    noisy_truth_table,
     run_noisy,
 )
 from iongrover.statevector import bits_to_index, marginal
@@ -222,14 +221,10 @@ def test_criterion_08_spam_round_trip():
 def test_criterion_09_noise_model_orders_the_algorithms():
     t0 = time.perf_counter()
     noise = NoiseModel(p_xx=FITTED_P_XX)
-    table3 = noisy_truth_table(
-        toffoli3_template(0, 1, 2), (0, 1, 2), noise, 10_000, 101
-    )
+    table3 = truth_table(toffoli3_template(0, 1, 2), (0, 1, 2), noise)
     fid3 = truth_table_fidelity(table3, permutation_of(toffoli3_unitary()))
     t_traj = time.perf_counter() - t0
-    table4 = noisy_truth_table(
-        toffoli4_template(0, 1, 2, 3, 4), (0, 1, 2, 3), noise, 4000, 102
-    )
+    table4 = truth_table(toffoli4_template(0, 1, 2, 3, 4), (0, 1, 2, 3), noise)
     fid4 = truth_table_fidelity(table4, permutation_of(toffoli4_unitary()))
     means = {}
     for t in (1, 2):

@@ -8,6 +8,8 @@ import jsonschema
 import pytest
 
 from iongrover.cli import main
+from iongrover.grover import GroverConfig, OracleSpec, run_grover
+from iongrover.noise import NoiseModel, SpamModel, apply_spam
 
 SCHEMA = json.loads(
     resources.files("iongrover").joinpath("schemas/results.schema.json").read_text()
@@ -107,6 +109,34 @@ def test_grover_with_noise_spam_and_shots(tmp_path):
     row = read_results(out)["rows"][0]
     assert row["asp"] < row["asp_ideal"]
     assert sum(row["counts"]) == 200
+
+
+def test_noisy_spam_row_is_the_library_run_under_readout(tmp_path):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"p_xx": 0.02, "p_r": 0.001}))
+    spam = tmp_path / "spam.json"
+    spam.write_text(json.dumps({"eps0": 0.01, "eps1": 0.02, "crosstalk": 0.005}))
+    out = tmp_path / "o"
+    code = main(
+        ["grover", "--style", "boolean", "--marked", "110", "--marked", "011",
+         "--noise", str(noise), "--spam", str(spam), "--out", str(out)]
+    )
+    assert code == 0
+    run = run_grover(GroverConfig(OracleSpec(3, ("110", "011"), "boolean")),
+                     noise=NoiseModel(0.02, 0.001))
+    want = apply_spam(run.distribution, SpamModel(0.01, 0.02, 0.005))
+    assert read_results(out)["rows"][0]["distribution"] == [float(p) for p in want]
+
+
+def test_oversized_integer_in_noise_config_is_a_clean_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"p_xx": 1' + "0" * 400 + "}")
+    out = tmp_path / "o"
+    assert main(["gate-table", "--noise", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p_xx must be a number")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_grover_malformed_noise_config(tmp_path, capsys):

@@ -170,6 +170,8 @@ def _without(gate, key):
         ({"n_qubits": 2, "gates": {}}, "gates"),
         ({"gates": []}, "n_qubits"),
         ([], "object"),
+        ({"n_qubits": 2, "gates": [_r(theta=10**400)]}, "gates\\[0\\] theta"),
+        ({"n_qubits": 2, "gates": [_r(), _xx(chi=-(10**400))]}, "gates\\[1\\] chi"),
     ],
 )
 def test_json_rejects_malformed_fields(doc, field):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from iongrover.decompositions import equivalent_up_to_global_phase
 from iongrover.gates import circuit_unitary, run, xx_count
 from iongrover.grover import (
+    STYLES,
     GroverConfig,
     OracleSpec,
     amplification_stage,
@@ -22,7 +23,8 @@ from iongrover.grover import (
     run_grover,
     theoretical_asp,
 )
-from iongrover.statevector import bits_to_index, probabilities
+from iongrover.noise import NoiseModel, channel_distributions
+from iongrover.statevector import bits_to_index, marginal, probabilities
 
 
 def test_oracle_spec_validation():
@@ -161,6 +163,16 @@ def test_grover_runs_match_both_styles_on_two_qubits():
         rb = run_grover(GroverConfig(OracleSpec(2, marked, "boolean")))
         assert np.max(np.abs(rp.distribution - rb.distribution)) < 1e-9
         assert rp.distribution[bits_to_index(marked[0])] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_noisy_run_is_the_channel_marginal(style):
+    cfg = GroverConfig(OracleSpec(3, ("011", "110"), style), iterations=2)
+    noise = NoiseModel(p_xx=0.02, p_r=0.003)
+    circuit = grover_circuit(cfg)
+    want = marginal(channel_distributions(circuit, noise, [0])[0], circuit.n_qubits, (0, 1, 2))
+    got = run_grover(cfg, noise=noise).distribution
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_more_iterations_follow_the_rotation_formula():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iongrover.decompositions import toffoli3_template, toffoli3_unitary
+from iongrover.decompositions import toffoli3_template, toffoli3_unitary, toffoli4_template
 from iongrover.gates import Circuit
 from iongrover.grover import GroverConfig, OracleSpec, run_grover
 from iongrover.metrics import (
@@ -15,6 +15,7 @@ from iongrover.metrics import (
     truth_table,
     truth_table_fidelity,
 )
+from iongrover.noise import NoiseModel
 
 TOFFOLI_PERM = permutation_of(toffoli3_unitary())
 
@@ -113,3 +114,12 @@ def test_expected_distribution_after_several_iterations():
         got = run_grover(GroverConfig(OracleSpec(n, marked, "phase"), k)).distribution
         assert np.max(np.abs(want - got)) < 1e-9
         assert want.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "circuit, io",
+    [(toffoli3_template(0, 1, 2), (0, 1, 2)), (toffoli4_template(0, 1, 2, 3, 4), (0, 1, 2, 3))],
+    ids=["toffoli3", "toffoli4"],
+)
+def test_truth_table_at_zero_noise_is_the_exact_table(circuit, io):
+    assert np.array_equal(truth_table(circuit, io, NoiseModel()), truth_table(circuit, io))

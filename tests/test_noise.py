@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from iongrover.decompositions import toffoli3_template, toffoli3_unitary
 from iongrover.gates import Circuit, RotationGate, XXGate, run
-from iongrover.metrics import permutation_of, truth_table_fidelity
+from iongrover.metrics import permutation_of, truth_table, truth_table_fidelity
 from iongrover.noise import (
     FITTED_P_XX,
     NoiseModel,
@@ -18,7 +18,6 @@ from iongrover.noise import (
     confusion_matrix,
     correct_spam,
     load_noise_config,
-    noisy_truth_table,
     run_noisy,
 )
 from iongrover.statevector import init_basis, probabilities
@@ -68,13 +67,13 @@ def test_rotation_noise_hits_single_qubit_circuits():
 def test_fidelity_decreases_with_error_rate():
     fid = {}
     for p in (0.01, 0.08):
-        table = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=p), 3000, 17)
+        table = truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=p))
         fid[p] = truth_table_fidelity(table, TOFFOLI_PERM)
     assert fid[0.01] > fid[0.08] + 0.05
 
 
 def test_fitted_rate_reproduces_reference_fidelity():
-    table = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 4000, 23)
+    table = truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX))
     assert 0.85 <= truth_table_fidelity(table, TOFFOLI_PERM) <= 0.94
 
 
@@ -161,9 +160,9 @@ def test_load_noise_config_rejects_ill_typed_values(tmp_path):
             load_noise_config(str(path))
 
 
-def test_noisy_tables_ignore_trajectories_and_seed():
-    a = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 10, 1)
-    b = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 5000, 2)
+def test_noisy_table_repeats_and_pins_the_fitted_fidelity():
+    a = truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX))
+    b = truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX))
     assert np.array_equal(a, b)
     # The exact channel pins the fitted rate's reference fidelity.
     assert truth_table_fidelity(a, TOFFOLI_PERM) == pytest.approx(0.8965, abs=1e-4)
@@ -252,7 +251,7 @@ def test_fitted_rate_is_tied_to_the_reference_fidelity():
     """FITTED_P_XX was fitted to the five-coupling Toffoli's observed
     truth-table fidelity of about 0.896; the exact channel must keep it
     there, so a change to the constant or the channel shows up here."""
-    table = noisy_truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX), 1, 0)
+    table = truth_table(TOFFOLI, (0, 1, 2), NoiseModel(p_xx=FITTED_P_XX))
     assert abs(truth_table_fidelity(table, TOFFOLI_PERM) - 0.896) < 0.001
 
 

@@ -47,9 +47,7 @@ def test_stray_control_control_z_collapses_success():
 
 
 def test_noise_degrades_success():
-    noisy = limited_tomography(
-        toffoli3_template(0, 1, 2), NoiseModel(p_xx=0.05), trajectories=2000, seed=31
-    )
+    noisy = limited_tomography(toffoli3_template(0, 1, 2), NoiseModel(p_xx=0.05))
     success = tomography_success(noisy)
     assert 0.5 < success < 0.95
 
