@@ -74,6 +74,14 @@ def _as_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _finite(value) -> bool:
+    """``math.isfinite``, False where it raises (a string, None, 10**400)."""
+    try:
+        return math.isfinite(value)
+    except (OverflowError, TypeError):
+        return False
+
+
 @dataclass(frozen=True)
 class RotationGate:
     """R(theta, phi) on a single qubit."""
@@ -84,8 +92,12 @@ class RotationGate:
 
     def __post_init__(self):
         object.__setattr__(self, "qubit", _as_int(self.qubit, "qubit"))
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("rotation angles must be finite")
+        try:  # not _finite twice: this runs for every rotation built
+            finite = math.isfinite(self.theta) and math.isfinite(self.phi)
+        except (OverflowError, TypeError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{'phi' if _finite(self.theta) else 'theta'} must be a finite number")
         if self.qubit < 0:
             raise ValueError(f"qubit index must be nonnegative, got {self.qubit}")
 
@@ -108,8 +120,8 @@ class XXGate:
     def __post_init__(self):
         object.__setattr__(self, "qa", _as_int(self.qa, "qa"))
         object.__setattr__(self, "qb", _as_int(self.qb, "qb"))
-        if not math.isfinite(self.chi):
-            raise ValueError("coupling angle must be finite")
+        if not _finite(self.chi):
+            raise ValueError("chi must be a finite number")
         if self.qa < 0 or self.qb < 0:
             raise ValueError("qubit indices must be nonnegative")
         if self.qa == self.qb:
@@ -251,19 +263,32 @@ def gate_ops(circuit: Circuit, rotations, couplings) -> list[tuple[tuple[int, ..
     ]
 
 
+def plan(ops, d: int, head: int = 0, repeats: int = 1) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Fused blocks of ``ops[:head]`` then ``repeats`` runs of ``ops[head:]``, each run
+    fused once and its blocks copied; one more pass merges across the seams."""
+    if repeats == 1:
+        return fuse_blocks(ops, d)
+    return fuse_blocks(ops[:head] + fuse_blocks(ops[head:], d) * repeats, d)
+
+
+def run_plan(blocks, n: int, amps: np.ndarray) -> np.ndarray:
+    """Apply the blocks of a ``d`` = 2 :func:`plan` to every row of ``amps``."""
+    for qubits, u in blocks:
+        amps = apply_gate(amps, n, qubits, u)
+    return amps
+
+
 def evolve(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     """Apply the circuit to every row of ``amps``, shape ``(batch, 2**n)``.
 
     The gate matrices come from :func:`gate_matrices`; the gates are
-    fused by :func:`fuse_blocks`, then applied one block at a time.
+    fused by :func:`plan`, then applied by :func:`run_plan`.
     """
     n = circuit.n_qubits
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim != 2 or amps.shape[1] != 2**n:
         raise ValueError(f"expected amplitudes of shape (batch, {2**n}), got {amps.shape}")
-    for qubits, u in fuse_blocks(gate_ops(circuit, *gate_matrices(circuit)), 2):
-        amps = apply_gate(amps, n, qubits, u)
-    return amps
+    return run_plan(plan(gate_ops(circuit, *gate_matrices(circuit)), 2), n, amps)
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

@@ -39,7 +39,7 @@ from .decompositions import (
     x_template,
 )
 from .gates import Circuit, Gate, RotationGate, _as_int, concat, xx_count
-from .noise import NoiseModel, distributions
+from .noise import NoiseModel, iterated_distributions
 from .statevector import all_labels, bits_to_index
 
 MAX_DATA_QUBITS = 3
@@ -291,22 +291,24 @@ def amplification_stage(n_qubits: int, sgn_map: SgnMap | None = None) -> Circuit
 
 
 def grover_circuit(config: GroverConfig, sgn_map: SgnMap | None = None) -> Circuit:
-    """Full run: initialization then ``iterations`` oracle/amplification rounds."""
-    spec = config.oracle
-    parts = [initialization_stage(spec.n_qubits, spec.style)]
-    for _ in range(config.iterations):
-        parts.append(oracle_circuit(spec, sgn_map))
-        parts.append(amplification_stage(spec.n_qubits, sgn_map))
-    return concat(*parts)
+    """Full run: initialization then ``iterations`` copies of one synthesized round."""
+    spec, k = config.oracle, config.iterations
+    iteration = (
+        [oracle_circuit(spec, sgn_map), amplification_stage(spec.n_qubits, sgn_map)] if k else []
+    )
+    return concat(initialization_stage(spec.n_qubits, spec.style), *iteration * k)
 
 
 def run_grover(
     config: GroverConfig, sgn_map: SgnMap | None = None, noise: NoiseModel | None = None
 ) -> GroverResult:
     """Simulate from all zeros, exactly or under the gate ``noise``, and
-    marginalize onto the data register."""
+    marginalize onto the data register. Only the initialization and the
+    first round are built and fused (:func:`iongrover.noise.iterated_distributions`)."""
+    spec, k = config.oracle, config.iterations
     circuit = grover_circuit(config, sgn_map)
-    dist = distributions(circuit, noise, [0], tuple(range(config.oracle.n_qubits)))[0]
+    head = len(circuit) if k < 2 else len(initialization_stage(spec.n_qubits, spec.style))
+    dist = iterated_distributions(circuit, head, k, noise, [0], tuple(range(spec.n_qubits)))[0]
     return GroverResult(dist, xx_count(circuit), circuit.n_qubits, circuit)
 
 

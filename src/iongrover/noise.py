@@ -9,9 +9,10 @@ k gate qubits Q, with lam = 4^k p / (4^k - 1) (Nielsen & Chuang 8.3).
 channel and so gives exact noisy distributions. :func:`distributions`
 is the one routine behind the three figures (``metrics.truth_table``,
 ``grover.run_grover``, ``tomography.limited_tomography``, each taking
-the noise): it runs a batch of basis inputs through
-:func:`iongrover.gates.evolve` when the noise is None or zero and
-through the channel otherwise, then marginalizes the whole batch.
+the noise): it runs a batch of basis inputs as pure states when the
+noise is None or zero and through the channel otherwise, then
+marginalizes the whole batch; ``run_grover`` calls it through
+:func:`iterated_distributions`, which builds one round only.
 :func:`run_noisy` is the Monte Carlo sampler of the same model, kept as
 an independent statistical check: it evolves all trajectories together
 as the rows of one ``(trajectories, 2**n)`` array, applies each sampled
@@ -23,10 +24,10 @@ qubit q's row and column bits forming one 4-level site. Each gate
 becomes its superoperator on its sites, kron(U, conj U) followed by the
 depolarizer (1 - lam) 1 + (lam / 2^k) |I>><<I|. The superoperators are
 built as one stack per gate kind, from the stacked gate matrices of
-:func:`iongrover.gates.gate_matrices`, and
-:func:`iongrover.gates.fuse_blocks` fuses them into one block per
-coupling, the same plan the pure-state engine runs. Superoperators
-compose as linear maps, so the fusion is exact at any noise rate.
+:func:`iongrover.gates.gate_matrices`, and :func:`iongrover.gates.plan`
+fuses them into one block per coupling, as for pure states, with a
+repeated round fused once. Superoperators compose as linear maps, so the
+fusion is exact at any noise rate.
 
 Readout errors are per-qubit asymmetric bit flips, optionally with
 crosstalk: a dark qubit's chance of reading bright grows with each
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Circuit, RotationGate, evolve, fuse_blocks, gate_matrices, gate_ops
+from .gates import Circuit, RotationGate, gate_matrices, gate_ops, plan, run_plan
 from .statevector import StateVector, apply_gate, init_basis, marginals
 
 _I = np.eye(2, dtype=np.complex128)
@@ -260,15 +261,18 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
     evolved as a 2n-qubit state: a gate U on qubits Q acts as U on Q and
     conj(U) on Q + n. After each coupling (rotation) with p_xx (p_r) > 0
     the depolarizing channel of the random-Pauli model acts on its
-    qubits. The superoperators are built as one stack per gate kind from
-    :func:`iongrover.gates.gate_matrices`, and the gates run as fused
-    superoperator blocks, one :func:`iongrover.statevector.apply_gate`
+    qubits. The gates run as the superoperator blocks of a
+    :func:`iongrover.gates.plan`, one :func:`iongrover.statevector.apply_gate`
     call per block. Returns an array of shape ``(len(inputs), 2**n)``; at
     zero noise each row equals the pure-state distribution.
     """
+    return _channel(circuit, noise, _basis_indices(inputs, circuit.n_qubits))
+
+
+def _channel(circuit: Circuit, noise: NoiseModel, inputs: list[int], head=0, repeats=1):
+    """:func:`channel_distributions` of checked ``inputs``, planned for ``head``/``repeats``."""
     n = circuit.n_qubits
     dim = 2**n
-    inputs = _basis_indices(inputs, n)
     rho = np.zeros((len(inputs), dim * dim), dtype=np.complex128)
     rho[np.arange(len(inputs)), np.array(inputs) * (dim + 1)] = 1.0
     rotations, couplings = gate_matrices(circuit)
@@ -277,7 +281,7 @@ def channel_distributions(circuit: Circuit, noise: NoiseModel, inputs) -> np.nda
         _superoperators(rotations, 4 * noise.p_r / 3),
         _superoperators(couplings, 16 * noise.p_xx / 15),
     )
-    for sites, m in fuse_blocks(ops, 4):
+    for sites, m in plan(ops, 4, head, repeats):
         rho = apply_gate(rho, 2 * n, tuple(x for q in sites for x in (q, q + n)), m)
     diag = rho.reshape(-1, dim, dim).diagonal(axis1=1, axis2=2).real
     return np.clip(diag, 0.0, None)
@@ -287,17 +291,26 @@ def distributions(circuit: Circuit, noise: NoiseModel | None, inputs, keep) -> n
     """Outcome distributions over the qubits ``keep``, one row per basis input.
 
     The one routine behind every figure: the basis inputs run as one
-    batch, through :func:`iongrover.gates.evolve` when ``noise`` is None
-    or trivial and through :func:`channel_distributions` otherwise, and
-    the whole batch is marginalized onto ``keep`` (in the given order) at
-    once. Returns shape ``(len(inputs), 2**len(keep))``.
+    batch, as pure states when ``noise`` is None or trivial and through
+    :func:`channel_distributions` otherwise, and the whole batch is
+    marginalized onto ``keep`` (in the given order) at once. Returns
+    shape ``(len(inputs), 2**len(keep))``.
     """
+    return iterated_distributions(circuit, 0, 1, noise, inputs, keep)
+
+
+def iterated_distributions(circuit: Circuit, head: int, repeats: int, noise, inputs, keep):
+    """:func:`distributions` of ``head`` gates then ``repeats`` copies of one round:
+    only the head and the first round are built and planned (:func:`iongrover.gates.plan`)."""
     n = circuit.n_qubits
+    inputs = _basis_indices(inputs, n)
+    if repeats > 1:
+        circuit = Circuit(n, circuit.gates[: head + (len(circuit) - head) // repeats])
     if noise is None or noise.trivial:
-        rows = np.eye(2**n, dtype=np.complex128)[_basis_indices(inputs, n)]
-        probs = np.abs(evolve(circuit, rows)) ** 2
+        blocks = plan(gate_ops(circuit, *gate_matrices(circuit)), 2, head, repeats)
+        probs = np.abs(run_plan(blocks, n, np.eye(2**n, dtype=np.complex128)[inputs])) ** 2
     else:
-        probs = channel_distributions(circuit, noise, inputs)
+        probs = _channel(circuit, noise, inputs, head, repeats)
     return marginals(probs, n, keep)
 
 

@@ -197,6 +197,27 @@ def test_integer_fields_reject_bools_and_floats(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: RotationGate(0, 10**400, 0.0), "theta"),
+        (lambda: RotationGate(0, 0.5, -(10**400)), "phi"),
+        (lambda: RotationGate(0, "0.5", 0.0), "theta"),
+        (lambda: RotationGate(0, 0.5, None), "phi"),
+        (lambda: RotationGate(0, np.nan, 0.0), "theta"),
+        (lambda: RotationGate(0, 0.5, np.inf), "phi"),
+        (lambda: XXGate(0, 1, 10**400), "chi"),
+        (lambda: XXGate(0, 1, None), "chi"),
+        (lambda: XXGate(0, 1, -np.inf), "chi"),
+    ],
+    ids=["theta-huge-int", "phi-huge-int", "theta-str", "phi-none", "theta-nan", "phi-inf",
+         "chi-huge-int", "chi-none", "chi-inf"],
+)
+def test_angle_fields_reject_non_finite_values_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        make()
+
+
 def test_integer_fields_accept_numpy_integers():
     gate = XXGate(np.int64(0), np.int32(1), 0.5)
     circ = Circuit(np.int64(2), (gate, RotationGate(np.uint8(1), 0.5, 0.0)))

@@ -1,12 +1,15 @@
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iongrover import grover
 from iongrover.decompositions import equivalent_up_to_global_phase
-from iongrover.gates import circuit_unitary, run, xx_count
+from iongrover.gates import circuit_to_json, circuit_unitary, concat, run, xx_count
 from iongrover.grover import (
     STYLES,
     GroverConfig,
@@ -23,7 +26,7 @@ from iongrover.grover import (
     run_grover,
     theoretical_asp,
 )
-from iongrover.noise import NoiseModel, channel_distributions
+from iongrover.noise import FITTED_P_XX, NoiseModel, channel_distributions, distributions
 from iongrover.statevector import bits_to_index, marginal, probabilities
 
 
@@ -263,3 +266,61 @@ def test_integer_fields_reject_bools_and_floats(make):
 def test_integer_fields_accept_numpy_integers():
     config = GroverConfig(OracleSpec(np.int64(2), ("01",), "phase"), np.int32(2))
     assert type(config.oracle.n_qubits) is int and type(config.iterations) is int
+
+
+@pytest.mark.parametrize(
+    "noise", [None, NoiseModel(FITTED_P_XX, 0.0015)], ids=["exact", "noisy"]
+)
+@pytest.mark.parametrize("style", STYLES)
+def test_run_grover_equals_the_flat_circuit_run(style, noise):
+    # run_grover builds and plans one round and repeats its blocks; the
+    # reference runs every gate of the flat circuit.
+    rng = np.random.default_rng(2184)
+    for n, t in itertools.product((1, 2, 3), (1, 2)):
+        pairs = list(itertools.combinations(range(n + 2), 2))
+        for marked in enumerate_oracles(n, t):
+            for k in range(4):
+                sgn_map = {pair: int(rng.choice((1, -1))) for pair in pairs}
+                config = GroverConfig(OracleSpec(n, marked, style), k)
+                got = run_grover(config, sgn_map, noise).distribution
+                circuit = grover_circuit(config, sgn_map)
+                want = distributions(circuit, noise, [0], tuple(range(n)))[0]
+                assert np.max(np.abs(got - want)) <= 1e-12, (marked, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_a_run_synthesizes_its_round_at_most_once(monkeypatch, k):
+    originals = {
+        name: getattr(grover, name)
+        for name in ("oracle_circuit", "amplification_stage", "grover_circuit")
+    }
+    calls = Counter()
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+
+        return counted
+
+    for name in originals:
+        monkeypatch.setattr(grover, name, counting(name))
+    spec = OracleSpec(3, ("011",), "boolean")
+    res = run_grover(GroverConfig(spec, iterations=k))
+    once = min(k, 1)
+    assert calls == Counter(oracle_circuit=once, amplification_stage=once, grover_circuit=1)
+    rounds = [originals["oracle_circuit"](spec), originals["amplification_stage"](3)] * k
+    assert res.circuit.gates == concat(initialization_stage(3, "boolean"), *rounds).gates
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("style", STYLES)
+def test_result_keeps_the_flat_circuit_and_its_register(style, k):
+    config = GroverConfig(OracleSpec(3, ("011",), style), k)
+    res = run_grover(config)
+    flat = grover_circuit(config)
+    assert circuit_to_json(res.circuit) == circuit_to_json(flat)
+    assert res.n_qubits_total == flat.n_qubits and res.xx_count == xx_count(flat)
+    if k == 0:
+        assert res.n_qubits_total == {"phase": 3, "boolean": 4}[style]
+        assert np.allclose(res.distribution, 1 / 8, atol=1e-12)

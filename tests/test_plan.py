@@ -21,6 +21,7 @@ from iongrover.gates import (
     evolve,
     fuse_blocks,
     gate_matrices,
+    plan,
     run,
 )
 from iongrover.grover import GroverConfig, OracleSpec, grover_circuit
@@ -148,6 +149,31 @@ def test_fused_blocks_compose_to_the_same_map_for_any_matrices(d, sites, data):
     assert len(plan) <= len(ops)
     assert all(1 <= len(where) <= 2 for where, _ in plan)
     want, got = total(ops), total(plan)
+    assert np.max(np.abs(got - want), initial=0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_planned_repeats_compose_to_the_repeated_ops(d, sites, repeats, data):
+    """A head and ``repeats`` copies of a round: the round fused once and
+    its blocks copied give the map of every op applied in turn."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    where = list(itertools.permutations(range(sites), 2)) + [(q,) for q in range(sites)]
+    ops = []
+    for _ in range(data.draw(st.integers(0, 16))):
+        w = data.draw(st.sampled_from(where))
+        size = d ** len(w)
+        ops.append((w, rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))))
+    head = data.draw(st.integers(0, len(ops)))
+
+    def total(blocks):
+        m = np.eye(d**sites, dtype=np.complex128)
+        for w, u in blocks:
+            m = _apply_dense(m, sites, d, w, u)
+        return m
+
+    want = total(ops[:head] + ops[head:] * repeats)
+    got = total(plan(ops, d, head, repeats))
     assert np.max(np.abs(got - want), initial=0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
