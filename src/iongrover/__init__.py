@@ -47,17 +47,12 @@ from .grover import (
     grover_circuit,
     initialization_stage,
     oracle_circuit,
-    oracle_spec_from_json,
-    oracle_spec_to_json,
     phase_oracle,
     run_grover,
     theoretical_asp,
 )
 from .metrics import (
     asp,
-    distribution_from_json,
-    distribution_to_csv,
-    distribution_to_json,
     expected_grover_distribution,
     sso,
     truth_table,
@@ -83,7 +78,6 @@ from .statevector import (
     apply_one_qubit,
     apply_two_qubit,
     bits_to_index,
-    index_to_bits,
     init_basis,
     marginal,
     marginals,

@@ -24,6 +24,7 @@ block qubits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,24 @@ def _sgn(sgn_map: SgnMap | None, a: int, b: int) -> int:
     if s not in (1, -1):
         raise ValueError(f"sgn for pair {key} must be +1 or -1, got {s}")
     return s
+
+
+def _check_sgn_map(sgn_map: SgnMap | None) -> None:
+    """Check a whole sign map: every key a qubit pair ``(a, b)`` with
+    ``0 <= a < b`` and every value +1 or -1, else ``ValueError`` naming
+    the key. Pairs beyond a circuit's register are allowed and unused."""
+    if sgn_map is None:
+        return
+    for key, s in sgn_map.items():
+        if not (
+            type(key) is tuple
+            and len(key) == 2
+            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in key)
+            and 0 <= key[0] < key[1]
+        ):
+            raise ValueError(f"sgn map key {key!r} must be a qubit pair (a, b) with 0 <= a < b")
+        if isinstance(s, bool) or s not in (1, -1):
+            raise ValueError(f"sgn for pair {key} must be +1 or -1, got {s!r}")
 
 
 def _rx(q: int, theta: float) -> RotationGate:

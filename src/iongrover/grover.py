@@ -1,4 +1,4 @@
-"""Single-iteration Grover search over 1..3 qubits in native gates.
+"""Grover search over 1..3 qubits in native gates, for any number of rounds.
 
 A run is initialization, then one or more rounds of oracle plus
 amplification. Oracles come in two styles with identical data-register
@@ -12,14 +12,14 @@ Expanding it over XOR ("parity form") turns each surviving monomial
 into one Z / CZ / CCZ (phase style) or one NOT / CNOT / Toffoli onto
 the ancilla (boolean style); a marked set of two labels alternatively
 reduces, after CNOT changes of basis, to a single conjunction on all
-but one qubit. The builder takes whichever candidate costs the fewest
-couplings.
+but one qubit (the boolean "pair form"). Coupling counts do not depend
+on the coupling signs, so each candidate is priced from its gate widths
+first and only the one with the fewest couplings is built.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,6 +29,7 @@ from .decompositions import (
     PI,
     SgnMap,
     _ry,
+    _check_sgn_map,
     _sgn,
     ccz_template,
     cnot_template,
@@ -36,11 +37,12 @@ from .decompositions import (
     rz_template,
     toffoli3_template,
     toffoli4_template,
+    toffoli_n_cost,
     x_template,
 )
 from .gates import Circuit, Gate, RotationGate, _as_int, concat, xx_count
 from .noise import NoiseModel, iterated_distributions
-from .statevector import all_labels, bits_to_index
+from .statevector import all_labels
 
 MAX_DATA_QUBITS = 3
 
@@ -95,22 +97,6 @@ class GroverResult:
     circuit: Circuit
 
 
-def oracle_spec_to_json(spec: OracleSpec) -> str:
-    return json.dumps(
-        {"n": spec.n_qubits, "marked": list(spec.marked), "style": spec.style},
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def oracle_spec_from_json(text: str) -> OracleSpec:
-    data = json.loads(text)
-    try:
-        return OracleSpec(data["n"], tuple(data["marked"]), data["style"])
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed oracle spec JSON: {exc}") from exc
-
-
 def _parity_monomials(n: int, marked: tuple[str, ...]) -> list[tuple[int, ...]]:
     """XOR expansion of the marked-set indicator.
 
@@ -119,9 +105,9 @@ def _parity_monomials(n: int, marked: tuple[str, ...]) -> list[tuple[int, ...]]:
     the subset parity transform of the truth table.
     """
     size = 2**n
-    f = np.zeros(size, dtype=np.int64)
+    f = [0] * size
     for label in marked:
-        f[bits_to_index(label)] = 1
+        f[int(label, 2)] = 1
     for b in range(n):
         bit = 1 << b
         for mask in range(size):
@@ -162,6 +148,12 @@ def _controlled_not_any(
     raise ValueError(f"no controlled-NOT template for {len(controls)} controls")
 
 
+def _not_couplings(n_controls: int) -> int:
+    """Couplings of the NOT that :func:`_controlled_not_any` builds on
+    ``n_controls`` controls: 0, 1, then the n-qubit Toffoli's count."""
+    return n_controls if n_controls < 2 else toffoli_n_cost(n_controls + 1).xx_count
+
+
 def _conjugate_zeros(label: str, qubits: tuple[int, ...], inner: Circuit) -> Circuit:
     """X-conjugate ``inner`` on the qubits where ``label`` has a 0 bit."""
     flips = [x_template(q) for q in qubits if label[q] == "0"]
@@ -177,11 +169,17 @@ def _per_label(n: int, marked: tuple[str, ...], mark) -> Circuit:
     return concat(*(_conjugate_zeros(label, qubits, mark(qubits)) for label in marked))
 
 
-def _parity(width: int, n: int, marked: tuple[str, ...], mark) -> Circuit:
+def _parity(width: int, monomials: list[tuple[int, ...]], mark) -> Circuit:
     """Parity form on ``width`` qubits: one ``mark`` per XOR monomial, or
     none where ``mark`` returns None (the phase style's constant term)."""
-    parts = [c for c in map(mark, _parity_monomials(n, marked)) if c is not None]
+    parts = [c for c in map(mark, monomials) if c is not None]
     return concat(*parts) if parts else Circuit(width, ())
+
+
+def _cheapest(*forms) -> Circuit:
+    """Build the first of the ``(couplings, build)`` forms with the fewest
+    couplings; the others are never built."""
+    return min(forms, key=lambda form: form[0])[1]()
 
 
 def phase_oracle(
@@ -189,19 +187,28 @@ def phase_oracle(
 ) -> Circuit:
     """Diagonal circuit with amplitude -1 on marked labels, up to global phase.
 
-    Builds both the per-label form (X-conjugated controlled-Z per
-    marked state) and the parity form and returns the cheaper one.
+    Prices the per-label form (X-conjugated controlled-Z per marked
+    state) and the parity form, then builds only the cheaper one.
     """
     spec = OracleSpec(n_qubits, tuple(marked), "phase")
+    _check_sgn_map(sgn_map)
     n, marked = spec.n_qubits, spec.marked
+    monomials = _parity_monomials(n, marked)
 
     def mark(qubits):
         return _controlled_z_any(qubits, sgn_map) if qubits else None
 
-    candidates = [_per_label(n, marked, mark), _parity(n, n, marked, mark)]
+    # A Z controlled on s - 1 of its s qubits costs what a NOT on s - 1
+    # controls does; the constant term builds nothing. Equally cheap
+    # forms keep this order: min returns the first.
+    parity = sum(_not_couplings(len(qubits) - 1) for qubits in monomials if qubits)
+    winner = _cheapest(
+        (len(marked) * _not_couplings(n - 1), lambda: _per_label(n, marked, mark)),
+        (parity, lambda: _parity(n, monomials, mark)),
+    )
     # Pad so the circuit always spans the whole data register, even
     # when the cheapest form touches only some qubits.
-    return concat(Circuit(n, ()), min(candidates, key=xx_count))
+    return concat(Circuit(n, ()), winner)
 
 
 def _boolean_pair(
@@ -233,21 +240,30 @@ def boolean_oracle(
 
     The ancilla is qubit ``n_qubits``; one more qubit beyond it may be
     borrowed (in |0>) by the widest controlled-NOT. Exact on every
-    computational basis state, up to one global phase.
+    computational basis state, up to one global phase. Prices the
+    per-label, pair (two marked labels only) and parity forms, then
+    builds only the cheapest.
     """
     spec = OracleSpec(n_qubits, tuple(marked), "boolean")
+    _check_sgn_map(sgn_map)
     n, marked = spec.n_qubits, spec.marked
     ancilla = n
+    monomials = _parity_monomials(n, marked)
 
     def mark(qubits):
         return _controlled_not_any(qubits, ancilla, ancilla + 1, sgn_map)
 
     # Equally cheap forms keep this order: min returns the first.
-    candidates = [_per_label(n, marked, mark)]
+    forms = [(len(marked) * _not_couplings(n), lambda: _per_label(n, marked, mark))]
     if len(marked) == 2:
-        candidates.append(_boolean_pair(n, marked, ancilla, sgn_map))
-    candidates.append(_parity(ancilla + 1, n, marked, mark))
-    return concat(Circuit(ancilla + 1, ()), min(candidates, key=xx_count))
+        # d - 1 CNOTs on each side of a NOT controlled on n - 1 qubits.
+        d = sum(x != y for x, y in zip(*marked))
+        forms.append(
+            (2 * (d - 1) + _not_couplings(n - 1), lambda: _boolean_pair(n, marked, ancilla, sgn_map))
+        )
+    parity = sum(_not_couplings(len(qubits)) for qubits in monomials)
+    forms.append((parity, lambda: _parity(ancilla + 1, monomials, mark)))
+    return concat(Circuit(ancilla + 1, ()), _cheapest(*forms))
 
 
 def oracle_circuit(spec: OracleSpec, sgn_map: SgnMap | None = None) -> Circuit:
@@ -276,6 +292,7 @@ def amplification_stage(n_qubits: int, sgn_map: SgnMap | None = None) -> Circuit
         raise ValueError(
             f"n_qubits must be in 1..{MAX_DATA_QUBITS}, got {n_qubits}"
         )
+    _check_sgn_map(sgn_map)
     qs = tuple(range(n_qubits))
     pre = [_ry(q, -PI / 2) for q in qs]
     flips = [x_template(q) for q in qs]
@@ -292,6 +309,7 @@ def amplification_stage(n_qubits: int, sgn_map: SgnMap | None = None) -> Circuit
 
 def grover_circuit(config: GroverConfig, sgn_map: SgnMap | None = None) -> Circuit:
     """Full run: initialization then ``iterations`` copies of one synthesized round."""
+    _check_sgn_map(sgn_map)
     spec, k = config.oracle, config.iterations
     iteration = (
         [oracle_circuit(spec, sgn_map), amplification_stage(spec.n_qubits, sgn_map)] if k else []

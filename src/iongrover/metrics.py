@@ -1,16 +1,13 @@
-"""Figures of merit and tabular output for measured distributions."""
+"""Figures of merit for measured distributions and gate truth tables."""
 
 from __future__ import annotations
-
-import io
-import json
 
 import numpy as np
 
 from .gates import Circuit
 from .grover import theoretical_asp
 from .noise import NoiseModel, distributions
-from .statevector import all_labels, basis_inputs, bits_to_index
+from .statevector import basis_inputs, bits_to_index
 
 
 def _infer_n(distribution: np.ndarray) -> int:
@@ -102,36 +99,3 @@ def permutation_of(unitary: np.ndarray) -> np.ndarray:
     if not np.allclose(np.abs(u[perm, np.arange(u.shape[1])]), 1.0, atol=1e-9):
         raise ValueError("unitary is not a permutation of basis states")
     return perm
-
-
-def distribution_to_csv(distribution: np.ndarray) -> str:
-    """CSV text with one (label, probability) row per basis state."""
-    distribution = np.asarray(distribution, dtype=np.float64)
-    n = _infer_n(distribution)
-    out = io.StringIO()
-    out.write("label,probability\n")
-    for label, p in zip(all_labels(n), distribution):
-        out.write(f"{label},{float(p)!r}\n")
-    return out.getvalue()
-
-
-def distribution_to_json(distribution: np.ndarray) -> str:
-    distribution = np.asarray(distribution, dtype=np.float64)
-    n = _infer_n(distribution)
-    return json.dumps(
-        {"n_qubits": n, "probabilities": [float(p) for p in distribution]},
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def distribution_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    try:
-        n = data["n_qubits"]
-        probs = np.asarray(data["probabilities"], dtype=np.float64)
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed distribution JSON: {exc}") from exc
-    if probs.shape != (2**n,):
-        raise ValueError(f"expected {2**n} probabilities, got {probs.shape}")
-    return probs

@@ -56,12 +56,6 @@ def bits_to_index(label: str) -> int:
     return int(label, 2)
 
 
-def index_to_bits(index: int, n_qubits: int) -> str:
-    if not 0 <= index < 2**n_qubits:
-        raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-    return format(index, f"0{n_qubits}b")
-
-
 def all_labels(n_qubits: int) -> list[str]:
     """All basis labels of ``n_qubits`` bits in index order."""
     return [format(k, f"0{n_qubits}b") for k in range(2**n_qubits)]

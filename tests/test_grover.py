@@ -1,5 +1,5 @@
 import itertools
-import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iongrover import grover
 from iongrover.decompositions import equivalent_up_to_global_phase
-from iongrover.gates import circuit_to_json, circuit_unitary, concat, run, xx_count
+from iongrover.gates import Circuit, circuit_to_json, circuit_unitary, concat, run, xx_count
 from iongrover.grover import (
     STYLES,
     GroverConfig,
@@ -20,8 +20,7 @@ from iongrover.grover import (
     enumerate_oracles,
     grover_circuit,
     initialization_stage,
-    oracle_spec_from_json,
-    oracle_spec_to_json,
+    oracle_circuit,
     phase_oracle,
     run_grover,
     theoretical_asp,
@@ -41,13 +40,6 @@ def test_oracle_spec_validation():
         OracleSpec(3, ("010",), "magic")
     with pytest.raises(ValueError):
         OracleSpec(4, ("0101",), "phase")
-
-
-def test_oracle_spec_json_round_trip():
-    spec = OracleSpec(3, ("010", "111"), "boolean")
-    assert oracle_spec_from_json(oracle_spec_to_json(spec)) == spec
-    with pytest.raises(ValueError):
-        oracle_spec_from_json(json.dumps({"n": 3}))
 
 
 def _diag_signs(n, marked):
@@ -324,3 +316,133 @@ def test_result_keeps_the_flat_circuit_and_its_register(style, k):
     if k == 0:
         assert res.n_qubits_total == {"phase": 3, "boolean": 4}[style]
         assert np.allclose(res.distribution, 1 / 8, atol=1e-12)
+
+
+def _every_oracle(seed):
+    """Every marked set for n = 1..3 in both styles, each with no sign map
+    and with a random one over every pair the builders may touch."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        pairs = list(itertools.combinations(range(n + 2), 2))
+        for t in range(1, 2**n + 1):
+            for marked in enumerate_oracles(n, t):
+                for style in STYLES:
+                    yield OracleSpec(n, marked, style), None
+                    yield OracleSpec(n, marked, style), {
+                        pair: int(rng.choice((1, -1))) for pair in pairs
+                    }
+
+
+def _every_form_then_min(spec, sgn_map):
+    """Reference oracle: build every candidate form, keep the first with
+    the fewest couplings."""
+    n, marked = spec.n_qubits, spec.marked
+    monomials = grover._parity_monomials(n, marked)
+    if spec.style == "phase":
+
+        def mark(qubits):
+            return grover._controlled_z_any(qubits, sgn_map) if qubits else None
+
+        forms = [grover._per_label(n, marked, mark), grover._parity(n, monomials, mark)]
+        width = n
+    else:
+
+        def mark(qubits):
+            return grover._controlled_not_any(qubits, n, n + 1, sgn_map)
+
+        forms = [grover._per_label(n, marked, mark)]
+        if len(marked) == 2:
+            forms.append(grover._boolean_pair(n, marked, n, sgn_map))
+        forms.append(grover._parity(n + 1, monomials, mark))
+        width = n + 1
+    return concat(Circuit(width, ()), min(forms, key=xx_count))
+
+
+def test_oracle_is_the_cheapest_form_gate_for_gate():
+    for spec, sgn_map in _every_oracle(seed=3105):
+        got = oracle_circuit(spec, sgn_map)
+        want = _every_form_then_min(spec, sgn_map)
+        assert (got.n_qubits, got.gates) == (want.n_qubits, want.gates), (spec, sgn_map)
+
+
+def test_each_oracle_builds_exactly_one_form(monkeypatch):
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(grover, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in ("_per_label", "_boolean_pair", "_parity"):
+        monkeypatch.setattr(grover, name, counting(name))
+    for spec, sgn_map in _every_oracle(seed=3106):
+        calls.clear()
+        oracle_circuit(spec, sgn_map)
+        assert sum(calls.values()) == 1, (spec, dict(calls))
+
+
+def test_parity_monomials_expand_the_indicator():
+    # XOR over the monomials of the AND of their bits is 1 exactly on
+    # the marked labels.
+    for n in (1, 2, 3):
+        for t in range(1, 2**n + 1):
+            for marked in enumerate_oracles(n, t):
+                monomials = grover._parity_monomials(n, marked)
+                assert monomials == sorted(set(monomials), key=lambda qs: (len(qs), qs))
+                for label in (format(k, f"0{n}b") for k in range(2**n)):
+                    value = sum(all(label[q] == "1" for q in qs) for qs in monomials) % 2
+                    assert value == (label in marked), (marked, label)
+
+
+@pytest.mark.parametrize("sgn_map", [None, {(0, 1): -1, (0, 2): -1, (1, 2): -1, (0, 3): -1,
+                                              (1, 3): -1, (2, 3): -1, (0, 4): -1, (1, 4): -1,
+                                              (2, 4): -1, (3, 4): -1}], ids=["plus", "minus"])
+def test_prices_are_the_built_coupling_counts(sgn_map):
+    for c in range(4):
+        built = grover._controlled_not_any(tuple(range(c)), c, c + 1, sgn_map)
+        assert xx_count(built) == grover._not_couplings(c), c
+    for s in range(1, 4):
+        built = grover._controlled_z_any(tuple(range(s)), sgn_map)
+        assert xx_count(built) == grover._not_couplings(s - 1), s
+
+
+_ENTRY_POINTS = {
+    "oracle_circuit": lambda m: oracle_circuit(OracleSpec(3, ("011",), "phase"), m),
+    "phase_oracle": lambda m: phase_oracle(3, ("011",), m),
+    "boolean_oracle": lambda m: boolean_oracle(3, ("011", "111"), m),
+    "amplification_stage": lambda m: amplification_stage(3, m),
+    "grover_circuit": lambda m: grover_circuit(GroverConfig(OracleSpec(3, ("011",), "boolean"), 0), m),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "sgn_map, key",
+    [
+        ({(1, 0): -1}, (1, 0)),
+        ({(0, 1): 1, (0, 4): 7}, (0, 4)),
+        ({(2, 2): 1}, (2, 2)),
+        ({(-1, 2): 1}, (-1, 2)),
+        ({(0, 1, 2): 1}, (0, 1, 2)),
+        ({"01": 1}, "01"),
+        ({(0, 1.0): 1}, (0, 1.0)),
+        ({(1, 2): 0}, (1, 2)),
+        ({(1, 2): True}, (1, 2)),
+        ({(1, 2): "-1"}, (1, 2)),
+    ],
+    ids=["reversed", "untouched-bad-value", "same-qubit", "negative", "triple", "string",
+         "float-qubit", "zero", "bool", "string-value"],
+)
+def test_sign_maps_are_checked_whole_where_synthesis_starts(entry, sgn_map, key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        _ENTRY_POINTS[entry](sgn_map)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_sign_map_pairs_beyond_the_register_are_unused(entry):
+    build = _ENTRY_POINTS[entry]
+    assert build({(0, 9): -1, (8, 9): 1}).gates == build(None).gates

@@ -6,9 +6,6 @@ from iongrover.gates import Circuit
 from iongrover.grover import GroverConfig, OracleSpec, run_grover
 from iongrover.metrics import (
     asp,
-    distribution_from_json,
-    distribution_to_csv,
-    distribution_to_json,
     expected_grover_distribution,
     permutation_of,
     sso,
@@ -90,21 +87,6 @@ def test_permutation_of_rejects_entanglers():
     u = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     with pytest.raises(ValueError):
         permutation_of(u)
-
-
-def test_distribution_serialization_round_trip():
-    dist = np.array([0.5, 0.25, 0.125, 0.125])
-    assert np.allclose(distribution_from_json(distribution_to_json(dist)), dist)
-    csv = distribution_to_csv(dist)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "label,probability"
-    assert lines[1] == "00,0.5"
-    assert len(lines) == 5
-
-
-def test_distribution_json_rejects_bad_length():
-    with pytest.raises(ValueError):
-        distribution_from_json('{"n_qubits": 2, "probabilities": [1.0]}')
 
 
 def test_expected_distribution_after_several_iterations():

@@ -11,7 +11,6 @@ from iongrover.statevector import (
     apply_one_qubit,
     apply_two_qubit,
     bits_to_index,
-    index_to_bits,
     init_basis,
     marginal,
     probabilities,
@@ -36,7 +35,7 @@ def test_init_basis_accepts_integer_index():
 def test_bits_index_round_trip():
     for n in range(1, MAX_QUBITS + 1):
         for k in range(2**n):
-            assert bits_to_index(index_to_bits(k, n)) == k
+            assert bits_to_index(format(k, f"0{n}b")) == k
 
 
 def test_all_labels_in_index_order():
