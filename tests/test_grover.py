@@ -398,9 +398,11 @@ def test_parity_monomials_expand_the_indicator():
                     assert value == (label in marked), (marked, label)
 
 
-@pytest.mark.parametrize("sgn_map", [None, {(0, 1): -1, (0, 2): -1, (1, 2): -1, (0, 3): -1,
-                                              (1, 3): -1, (2, 3): -1, (0, 4): -1, (1, 4): -1,
-                                              (2, 4): -1, (3, 4): -1}], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "sgn_map",
+    [None, {pair: -1 for pair in itertools.combinations(range(5), 2)}],
+    ids=["plus", "minus"],
+)
 def test_prices_are_the_built_coupling_counts(sgn_map):
     for c in range(4):
         built = grover._controlled_not_any(tuple(range(c)), c, c + 1, sgn_map)
